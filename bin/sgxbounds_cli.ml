@@ -436,13 +436,13 @@ let validate_bench_cmd =
         | None -> die "%s: missing key %S" file k
       in
       (* The engine key names which memory engine produced the numbers;
-         only the three engines the simulator actually has are valid. *)
+         only the two engines the simulator actually has are valid. *)
       let engine () =
         str "engine";
         match Json.member "engine" j with
-        | Some (Json.Str ("naive" | "fast" | "trace")) -> ()
+        | Some (Json.Str ("naive" | "fast")) -> ()
         | Some (Json.Str e) ->
-          die "%s: unknown engine %S (expected naive, fast or trace)" file e
+          die "%s: unknown engine %S (expected naive or fast)" file e
         | _ -> assert false
       in
       (match Json.member "bench" j with
@@ -475,10 +475,13 @@ let validate_bench_cmd =
            num "score_total";
            num "jobs_effective"
          end;
-         (* v3 adds the trace engine and the tri-engine agreement proof *)
-         if version >= 3 then begin
+         (* v3 adds the engine agreement proof, plus the retired trace
+            engine's rates; v4 drops those rates *)
+         if version = 3 then begin
            num "trace_maps";
-           num "speedup_trace_vs_naive";
+           num "speedup_trace_vs_naive"
+         end;
+         if version >= 3 then begin
            num "host_cores";
            (match Json.member "agreement" j with
             | Some (Json.Obj _ as a) ->
@@ -490,7 +493,8 @@ let validate_bench_cmd =
          end;
          Fmt.pr "%s: valid throughput document (v%d%s)@." file version
            (match version with
-            | v when v >= 3 -> ": engine, trace_maps, agreement present"
+            | v when v >= 4 -> ": engine, agreement present"
+            | 3 -> ": engine, trace_maps, agreement present"
             | 2 -> ": engine, score_total, jobs_effective present"
             | _ -> "")
        | Some (Json.Str b) -> die "%s: unknown bench kind %S" file b
@@ -533,7 +537,7 @@ let fuzz_cmd =
            Fmt.pr "%s" (Trace.to_string tr);
            exit 1)
       traces;
-    Fmt.pr "fuzz: %d symbolic seed traces (from %d findings) x all schemes x 3 \
+    Fmt.pr "fuzz: %d symbolic seed traces (from %d findings) x all schemes x 2 \
             engines: all invariants held@."
       total (List.length seeds)
   in
@@ -570,7 +574,7 @@ let fuzz_cmd =
     let report = Fuzz.campaign ~specs ~params ~progress ~shrink ~seed ~iters () in
     match report.Fuzz.rp_counterexample with
     | None ->
-      Fmt.pr "fuzz: %d traces (%d events) x %d schemes x 3 engines: all invariants held \
+      Fmt.pr "fuzz: %d traces (%d events) x %d schemes x 2 engines: all invariants held \
               (seed %d)@."
         report.Fuzz.rp_ran report.Fuzz.rp_events (List.length report.Fuzz.rp_schemes) seed
     | Some cx ->

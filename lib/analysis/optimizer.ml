@@ -26,7 +26,7 @@
       elisions, never checks);
     + {!verify_replay} / {!fuzz_soundness} — dynamic oracles: the plan
       composed with {!Audit.wrap} must report zero findings, and the
-      tri-engine fuzz oracle must see bit-identical results and
+      two-engine fuzz oracle must see bit-identical results and
       unchanged violation verdicts. *)
 
 module Harness = Sb_harness.Harness
@@ -598,14 +598,11 @@ let opt_result ?env ?threads ?n (w : Registry.spec) =
 let ablation_with_opt ?env ?threads ?n (w : Registry.spec) =
   Harness.run_ablation ?env ?threads ?n w @ [ opt_result ?env ?threads ?n w ]
 
-(* ---------- fuzz-oracle soundness (tri-engine) ---------- *)
+(* ---------- fuzz-oracle soundness (two engines) ---------- *)
 
-let engines = [ Fastpath.Naive; Fastpath.Fast; Fastpath.Trace ]
+let engines = [ Fastpath.Naive; Fastpath.Fast ]
 
-let engine_name = function
-  | Fastpath.Naive -> "naive"
-  | Fastpath.Fast -> "fast"
-  | Fastpath.Trace -> "trace"
+let engine_name = Fastpath.kind_name
 
 type fuzz_report = {
   fz_traces : int;
@@ -617,7 +614,7 @@ type fuzz_report = {
 (** The fuzz-oracle soundness gate: for seeded traces (about half of
     which contain deliberate violations), record each (trace, scheme)
     cell, build and statically verify a plan, then replay optimized
-    under all three engines. The optimized replays must be bit-identical
+    under both engines. The optimized replays must be bit-identical
     to each other, must preserve the unoptimized run's verdict (stop,
     read values, counted violations, boundless accesses) per engine, may
     only remove cost, and — composed with {!Audit.wrap} — must report
@@ -823,7 +820,7 @@ let selftests () : Analyze.selftest list =
         "retargeted certificate rejected at runtime, verdict kept";
     ]
   in
-  (* plan determinism across the three engines *)
+  (* plan determinism across the engines *)
   let determinism =
     let w = Registry.find "matrixmul" in
     let plan_under kind =

@@ -1,17 +1,15 @@
 (** The differential fuzz driver.
 
     For every generated trace, [check_trace] replays the oracle's plan
-    through every scheme under {e all three} memory engines — naive,
-    fast, and the superblock-fusing trace engine — and checks three
-    invariants:
+    through every scheme under both memory engines — naive and fast —
+    and checks three invariants:
 
-    + {b Engines agree bit-for-bit}: the fast and trace engines each
-      produce a {!Replay.run} record structurally equal to the naive
-      engine's — same stop, same read values, same
-      cycle/instruction/check counters. Fault-injection traces are the
-      sharp edge here: a violation or page fault landing mid-superblock
-      must observe exactly the accounting the interpreter would have
-      accumulated access by access.
+    + {b Engines agree bit-for-bit}: the fast engine produces a
+      {!Replay.run} record structurally equal to the naive engine's —
+      same stop, same read values, same cycle/instruction/check
+      counters. Fault-injection traces are the sharp edge here: a
+      violation or page fault landing mid-streak must observe exactly
+      the accounting the naive engine accumulates access by access.
     + {b Zero false positives}: no scheme stops (violation {e or}
       crash) before the oracle's first unsafe event; on an oracle-safe
       trace nothing stops and boundless mode counts zero violations.
@@ -88,7 +86,7 @@ let check_trace ?specs (trace : Trace.t) : failure option =
   let fail sp_name f_kind f_event f_detail =
     Some { f_scheme = sp_name; f_kind; f_event; f_detail }
   in
-  (* Invariant 1: fast == naive and trace == naive, per scheme. *)
+  (* Invariant 1: fast == naive, per scheme. *)
   let runs =
     List.map
       (fun sp ->
@@ -98,32 +96,26 @@ let check_trace ?specs (trace : Trace.t) : failure option =
          let fast =
            Replay.run_engine ~kind:Sb_machine.Fastpath.Fast ~maker:sp.sp_maker ~plan trace
          in
-         let tr =
-           Replay.run_engine ~kind:Sb_machine.Fastpath.Trace ~maker:sp.sp_maker ~plan trace
-         in
-         (sp, naive, fast, tr))
+         (sp, naive, fast))
       specs
   in
-  let mismatch_detail name (eng : Replay.run) (naive : Replay.run) =
-    if eng.Replay.stop <> naive.Replay.stop then
-      Format.asprintf "%s stop %a / naive stop %a" name
-        (Format.pp_print_option Replay.pp_stop) eng.Replay.stop
+  let mismatch_detail (fast : Replay.run) (naive : Replay.run) =
+    if fast.Replay.stop <> naive.Replay.stop then
+      Format.asprintf "fast stop %a / naive stop %a"
+        (Format.pp_print_option Replay.pp_stop) fast.Replay.stop
         (Format.pp_print_option Replay.pp_stop) naive.Replay.stop
-    else if eng.Replay.reads <> naive.Replay.reads then
-      Printf.sprintf "%s read values differ" name
+    else if fast.Replay.reads <> naive.Replay.reads then "fast read values differ"
     else
       Printf.sprintf
-        "%s counters differ (cycles %d/%d, instrs %d/%d, checks %d/%d)"
-        name eng.Replay.cycles naive.Replay.cycles eng.Replay.instrs
-        naive.Replay.instrs eng.Replay.checks_done naive.Replay.checks_done
+        "fast counters differ (cycles %d/%d, instrs %d/%d, checks %d/%d)"
+        fast.Replay.cycles naive.Replay.cycles fast.Replay.instrs
+        naive.Replay.instrs fast.Replay.checks_done naive.Replay.checks_done
   in
   let engine_mismatch =
     List.find_map
-      (fun (sp, naive, fast, tr) ->
+      (fun (sp, naive, fast) ->
          if fast <> naive then
-           fail sp.sp_name Engine_mismatch (-1) (mismatch_detail "fast" fast naive)
-         else if tr <> naive then
-           fail sp.sp_name Engine_mismatch (-1) (mismatch_detail "trace" tr naive)
+           fail sp.sp_name Engine_mismatch (-1) (mismatch_detail fast naive)
          else None)
       runs
   in
@@ -134,7 +126,7 @@ let check_trace ?specs (trace : Trace.t) : failure option =
     (* Invariant 2: zero false positives before the first unsafe event. *)
     let false_positive =
       List.find_map
-        (fun (sp, r, _, _) ->
+        (fun (sp, r, _) ->
            match r.Replay.stop with
            | Some st when st.Replay.at < fp_bound ->
              fail sp.sp_name False_positive st.Replay.at
@@ -155,7 +147,7 @@ let check_trace ?specs (trace : Trace.t) : failure option =
        (* Invariant 3: every in-contract violation is detected. *)
        let missed =
          List.find_map
-           (fun (sp, r, _, _) ->
+           (fun (sp, r, _) ->
               match Contract.first_covered ~scheme:sp.sp_name plan with
               | None -> None
               | Some c ->
@@ -180,9 +172,9 @@ let check_trace ?specs (trace : Trace.t) : failure option =
           (* Cross-scheme: instrumented reads of defined bytes agree. *)
           match runs with
           | [] | [ _ ] -> None
-          | (base_sp, base, _, _) :: rest ->
+          | (base_sp, base, _) :: rest ->
             List.find_map
-              (fun (sp, r, _, _) ->
+              (fun (sp, r, _) ->
                  let bad = ref None in
                  Array.iteri
                    (fun i d ->

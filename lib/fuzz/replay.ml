@@ -173,8 +173,8 @@ let run ~maker ~(plan : Oracle.plan) (trace : Trace.t) : run =
   r
 
 (** [run] with the memory engine pinned to [kind] for every component
-    the replay creates — the fuzzer's tri-engine oracle replays each
-    (trace, plan, scheme) under naive, fast and trace and demands
-    structurally equal records. *)
+    the replay creates — the fuzzer's two-engine oracle replays each
+    (trace, plan, scheme) under naive and fast and demands structurally
+    equal records. *)
 let run_engine ~kind ~maker ~plan trace =
   Sb_machine.Fastpath.with_kind kind (fun () -> run ~maker ~plan trace)

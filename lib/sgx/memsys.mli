@@ -118,16 +118,14 @@ val attributed_cycles : t -> int
 (** Per-level cache hit/miss counters ([("L1", _); ("L2", _); ("LLC", _)]). *)
 val cache_stats : t -> (string * Sb_cache.Hierarchy.level_stats) list
 
-(** Trace-engine recorder counters for this machine: superblocks
-    promoted, accesses executed fused, pattern breaks, invalidations,
-    distinct compiled sites. All zeros under the naive and fast
-    engines (and when telemetry forced the recorder off). Host-side
-    observability only — never part of simulated state. *)
+(** Always [{ fused = 0 }]: no engine fuses accesses. Kept only as
+    the source of the benchmark harness's [trace.fused_ratio]. *)
 val trace_stats : t -> Sb_machine.Trace.stats
 
 (** Reset clocks, stats, attribution, telemetry (counters, histograms,
-    event ring), cache contents and EPC residency — a fresh run on the
-    same address space contents. *)
+    event ring), cache contents, EPC residency and the cooperative
+    yield phase — a fresh run on the same address space contents, which
+    interleaves threads exactly as a newly created machine would. *)
 val reset : t -> unit
 
 val epc_faults : t -> int

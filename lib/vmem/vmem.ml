@@ -49,14 +49,6 @@ type t = {
      [unmap]; re-sentineling an already-unmapped page is harmless. *)
   mutable mapped_ranges : (int * int) list;
   fast : bool;
-  (* Remap notification ({!set_remap_hook}): called after any operation
-     that can change what an address resolves to or its writability —
-     [unmap], [protect], [retire]. The trace engine's fused data path
-     caches a page's backing bytes across accesses; this hook is how
-     that cache learns it must die. [map] never fires it: [map] only
-     ever claims sentinel (never-aliased) pages, so no cached window
-     can point into them. Zero cost on the access path. *)
-  mutable on_remap : unit -> unit;
 }
 
 (* Retired page arrays, all-sentinel by construction (see [retire]),
@@ -79,10 +71,7 @@ let create (cfg : Sb_machine.Config.t) =
     wr_page = sentinel;
     mapped_ranges = [];
     fast = Sb_machine.Fastpath.is_enabled ();
-    on_remap = ignore;
   }
-
-let set_remap_hook t f = t.on_remap <- f
 
 let reserved_bytes t = t.reserved
 let peak_reserved_bytes t = t.peak
@@ -156,13 +145,11 @@ let unmap t ~addr ~len =
       t.reserved <- t.reserved - page_size
     end
   done;
-  invalidate_memos t;
-  t.on_remap ()
+  invalidate_memos t
 
 let protect t ~addr ~len ~perm =
   let page0 = addr lsr page_shift and npages = pages_of_len len in
   invalidate_memos t;
-  t.on_remap ();
   for i = page0 to page0 + npages - 1 do
     let p = t.pages.(i) in
     if p == sentinel then fault (i lsl page_shift) Unmapped else p.perm <- perm
@@ -170,7 +157,6 @@ let protect t ~addr ~len ~perm =
 
 let retire t =
   if Array.length t.pages > 0 then begin
-    t.on_remap ();
     List.iter
       (fun (page0, npages) -> Array.fill t.pages page0 npages sentinel)
       t.mapped_ranges;
@@ -370,20 +356,6 @@ let read_string t ~addr ~len =
     Bytes.unsafe_to_string buf
   end
   else read_string_slow t ~addr ~len
-
-(* Trace-engine window: the backing bytes of the mapped page containing
-   [addr], plus its writability, or [None] for anything an access would
-   fault on. The caller caches the result across accesses; the
-   [set_remap_hook] callback is the invalidation protocol. *)
-let window t ~addr =
-  if addr < 0 || addr > addr_mask || Array.length t.pages = 0 then None
-  else begin
-    let p = Array.unsafe_get t.pages (addr lsr page_shift) in
-    match p.perm with
-    | Guard -> None
-    | Read_only -> Some (p.data, false)
-    | Read_write -> Some (p.data, true)
-  end
 
 let fill t ~addr ~len ~byte =
   let i = ref 0 in

@@ -104,25 +104,3 @@ val peak_reserved_bytes : t -> int
 
 (** Remaining headroom before [Enclave_oom]. *)
 val headroom : t -> int
-
-(** {2 Trace-engine window}
-
-    The trace engine ({!Sb_machine.Fastpath}, [Trace] kind) caches one
-    page's backing bytes so a fused run's data accesses skip
-    translation entirely. These two entry points are that protocol:
-    {!window} hands out the page, {!set_remap_hook} is how the cache
-    learns the page may no longer be valid. *)
-
-(** [window t ~addr] is [Some (bytes, writable)] for the mapped,
-    non-guard page containing [addr] ([bytes] is the live backing
-    store, of length [page_size], and [writable] reports [Read_write]),
-    or [None] for anything an access would fault on. The caller may
-    cache the result only until the remap hook fires. *)
-val window : t -> addr:int -> (Bytes.t * bool) option
-
-(** Install the remap callback: invoked after every [unmap], [protect]
-    and [retire] — any operation that can change what an address
-    resolves to or its writability. [map] never fires it (fresh pages
-    are never aliased by an existing window). One hook per address
-    space; later calls replace earlier ones. *)
-val set_remap_hook : t -> (unit -> unit) -> unit

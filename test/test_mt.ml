@@ -1,6 +1,7 @@
 open Helpers
 module Mt = Sb_mt.Mt
 module Memsys = Sb_sgx.Memsys
+module Fastpath = Sb_machine.Fastpath
 
 let test_all_threads_run () =
   let m = ms () in
@@ -194,8 +195,42 @@ let prop_elapsed_is_max_cost =
        Mt.run m (Array.of_list fns);
        Memsys.get_clock m 0 = List.fold_left max 0 costs)
 
+(* [Memsys.reset] promises a fresh run: a machine that did some work
+   and was reset must interleave threads exactly like a new machine,
+   under either engine. The log records which thread issued each
+   access, so any shift in the yield phase changes it. *)
+let test_reset_restores_yield_phase () =
+  let interleaving ~warm () =
+    let m = ms () in
+    let a = Sb_vmem.Vmem.map (Memsys.vmem m) ~len:8192 ~perm:Sb_vmem.Vmem.Read_write () in
+    if warm then begin
+      for i = 0 to 4 do
+        ignore (Memsys.load m ~addr:(a + (i * 8)) ~width:8)
+      done;
+      Memsys.reset m
+    end;
+    let log = Buffer.create 512 in
+    let worker tag base () =
+      for i = 0 to 199 do
+        ignore (Memsys.load m ~addr:(a + base + (i * 8)) ~width:8);
+        Buffer.add_char log tag
+      done
+    in
+    Mt.run m [| worker 'a' 0; worker 'b' 4096 |];
+    Buffer.contents log
+  in
+  List.iter
+    (fun kind ->
+       Fastpath.with_kind kind (fun () ->
+           Alcotest.(check string)
+             (Fastpath.kind_name kind ^ ": reset = fresh interleaving")
+             (interleaving ~warm:false ()) (interleaving ~warm:true ())))
+    [ Fastpath.Naive; Fastpath.Fast ]
+
 let service_suite =
   [
+    Alcotest.test_case "reset restores the yield phase" `Quick
+      test_reset_restores_yield_phase;
     Alcotest.test_case "fairness: each round runs every thread" `Quick test_fair_rounds;
     Alcotest.test_case "yield during channel ops is safe" `Quick
       test_yield_during_channel_ops;

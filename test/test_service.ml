@@ -178,10 +178,10 @@ let test_run_deterministic () =
 let test_engines_agree () =
   (* whole cells (machine creation included) under each memory engine *)
   let c = cell ~app:Drivers.Memcached ~requests:80 60_000. in
-  let fast = Experiment.tsv_line (Experiment.run_cell c) in
-  let naive =
-    Fastpath.with_engine false (fun () -> Experiment.tsv_line (Experiment.run_cell c))
+  let line kind =
+    Fastpath.with_kind kind (fun () -> Experiment.tsv_line (Experiment.run_cell c))
   in
+  let fast = line Fastpath.Fast and naive = line Fastpath.Naive in
   Alcotest.(check string) "fast engine = naive engine" fast naive
 
 let test_jobs_invariance () =

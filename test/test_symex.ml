@@ -81,7 +81,6 @@ let test_matrix_invariant () =
          (matrix_under_engine kind jobs))
     [
       ("fast engine", Fastpath.Fast, 1);
-      ("trace engine", Fastpath.Trace, 1);
       ("naive engine, jobs=2", Fastpath.Naive, 2);
     ];
   (* and the Table-4 pins hold on what we just generated *)
