@@ -194,6 +194,12 @@ if SGXBOUNDS_SCORE_PERTURB=-50 _build/default/bench/main.exe --smoke \
   exit 1
 fi
 
+echo "== perfbench selftest: an injected check-elision fault must fail the reference check"
+# Builds perfbench in release mode into .bench_build/ and runs one
+# workload with every scheme's checks elided; succeeds only if the
+# benchmark's correctness check reports failed units and exits non-zero.
+python3 perfbench/run.py --selftest >/dev/null
+
 echo "== committed bench documents validate"
 "$CLI" validate-bench BENCH_PR2.json
 "$CLI" validate-bench BENCH_PR6.json

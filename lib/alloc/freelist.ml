@@ -14,11 +14,18 @@ let class_size size =
   else if size <= 65536 then Util.align_up size 256
   else Util.align_up size 4096
 
-type chunk = { size : int }
+(* Live-chunk table: one row per heap page, one slot per 16-byte payload
+   position in that page (payloads are 16-byte aligned), holding the
+   chunk's size class, or 0 when no live chunk starts there (a class is
+   never 0). Pages that never held a payload share [no_row], which is
+   never written; the page index grows to cover the highest page seen. *)
+let slots_per_page = Sb_vmem.Vmem.page_size / 16
+let no_row : int array = Array.make slots_per_page 0
 
 type t = {
   ms : Memsys.t;
-  live : (int, chunk) Hashtbl.t;        (* payload addr -> chunk *)
+  mutable live : int array array;       (* page -> row *)
+  mutable live_chunks : int;
   freelists : (int, int list ref) Hashtbl.t;  (* class size -> payload addrs *)
   mutable seg_cur : int;                (* bump pointer in current segment *)
   mutable seg_end : int;
@@ -29,7 +36,8 @@ type t = {
 let create ms =
   {
     ms;
-    live = Hashtbl.create 4096;
+    live = [||];
+    live_chunks = 0;
     freelists = Hashtbl.create 64;
     seg_cur = 0;
     seg_end = 0;
@@ -44,6 +52,32 @@ let freelist t cls =
     let l = ref [] in
     Hashtbl.replace t.freelists cls l;
     l
+
+(* Size class of the live chunk whose payload is at [addr], or 0. Wild,
+   misaligned and out-of-range addresses all land on 0. *)
+let live_class t addr =
+  let page = addr lsr 12 in
+  if addr < 0 || addr land 15 <> 0 || page >= Array.length t.live then 0
+  else Array.unsafe_get (Array.unsafe_get t.live page) ((addr land 4095) lsr 4)
+
+let set_class t addr cls =
+  let page = addr lsr 12 in
+  let n = Array.length t.live in
+  if page >= n then begin
+    let live = Array.make (max (page + 1) (2 * n)) no_row in
+    Array.blit t.live 0 live 0 n;
+    t.live <- live
+  end;
+  let row =
+    let r = t.live.(page) in
+    if r != no_row then r
+    else begin
+      let r = Array.make slots_per_page 0 in
+      t.live.(page) <- r;
+      r
+    end
+  in
+  row.((addr land 4095) lsr 4) <- cls
 
 let grow t need =
   let len = max min_segment (Util.align_up (need + header_size) Sb_vmem.Vmem.page_size) in
@@ -73,28 +107,30 @@ let alloc t size =
   in
   (* Write the chunk header (size word) for cache realism. *)
   Memsys.store t.ms ~addr:(payload - header_size) ~width:8 cls;
-  Hashtbl.replace t.live payload { size = cls };
+  set_class t payload cls;
+  t.live_chunks <- t.live_chunks + 1;
   t.live_bytes <- t.live_bytes + cls;
   t.total_allocated <- t.total_allocated + cls;
   payload
 
 let chunk_size t addr =
-  match Hashtbl.find_opt t.live addr with
-  | Some c -> c.size
-  | None -> invalid_arg "Freelist.chunk_size: not a live chunk"
+  match live_class t addr with
+  | 0 -> invalid_arg "Freelist.chunk_size: not a live chunk"
+  | cls -> cls
 
 let free t addr =
-  match Hashtbl.find_opt t.live addr with
-  | None -> invalid_arg "Freelist.free: not a live chunk"
-  | Some c ->
+  match live_class t addr with
+  | 0 -> invalid_arg "Freelist.free: not a live chunk"
+  | cls ->
     Memsys.charge_alu t.ms 25;
     Memsys.touch t.ms ~addr:(addr - header_size) ~width:8;
-    Hashtbl.remove t.live addr;
-    t.live_bytes <- t.live_bytes - c.size;
-    let fl = freelist t c.size in
+    set_class t addr 0;
+    t.live_chunks <- t.live_chunks - 1;
+    t.live_bytes <- t.live_bytes - cls;
+    let fl = freelist t cls in
     fl := addr :: !fl
 
-let is_live t addr = Hashtbl.mem t.live addr
+let is_live t addr = live_class t addr <> 0
 let live_bytes t = t.live_bytes
-let live_chunks t = Hashtbl.length t.live
+let live_chunks t = t.live_chunks
 let total_allocated t = t.total_allocated

@@ -32,7 +32,7 @@ let bt_region_shift = Vmem.addr_bits - bd_index_bits  (* app bytes covered per B
 type bt_state = {
   ms : Memsys.t;
   bd_base : int;
-  bts : (int, int) Hashtbl.t;           (* BD index -> BT base address *)
+  bts : int array;                      (* BD index -> BT base address, -1 = none *)
   bt_bytes : int;
   (* Semantic store: exact bounds keyed by the pointer's storage location.
      The *traffic* for these entries goes through BD/BT simulated memory. *)
@@ -53,9 +53,8 @@ let get_bt st addr =
   let i = bd_index addr in
   (* BD entry load. *)
   Memsys.touch ~cls:Memsys.Bounds_table st.ms ~addr:(st.bd_base + (i * 8)) ~width:8;
-  match Hashtbl.find_opt st.bts i with
-  | Some b -> b
-  | None ->
+  match st.bts.(i) with
+  | -1 ->
     (* On-demand BT allocation: in the paper's SGX adaptation the #BR
        exception is forwarded into the enclave, which allocates the table
        itself. Costed as an exception round-trip. *)
@@ -66,9 +65,10 @@ let get_bt st addr =
     in
     Memsys.charge_alu ~cls:Memsys.Bounds_table st.ms 3000;
     Memsys.store ~cls:Memsys.Bounds_table st.ms ~addr:(st.bd_base + (i * 8)) ~width:8 b;
-    Hashtbl.replace st.bts i b;
+    st.bts.(i) <- b;
     st.extras.bts_allocated <- st.extras.bts_allocated + 1;
     b
+  | b -> b
 
 let bndstx st ~loc ~value ~bnd =
   let bt = get_bt st loc in
@@ -98,7 +98,7 @@ let make ms : Scheme.t =
     {
       ms;
       bd_base;
-      bts = Hashtbl.create 64;
+      bts = Array.make (1 lsl bd_index_bits) (-1);
       (* Architectural ratio: a 16-byte BT entry per 4-byte pointer slot
          means a full BT is 4x the address range it covers (the paper's
          32 KiB BD + 4 MiB BTs for a 32-bit space). One pointer store in

@@ -6,16 +6,16 @@ type t = {
   capacity : int;
   slots : int array;            (* page number per slot, -1 = free *)
   refbit : Bytes.t;
-  index : (int, int) Hashtbl.t; (* page -> slot *)
-  (* Fast engine: direct-mapped page -> slot table (-1 = not resident)
-     covering the simulated address space, mirroring [index] exactly.
-     Turns the residency probe on every DRAM access into one array read
-     instead of a hashtable lookup. [index] stays authoritative — it is
-     maintained in both engines and still serves pages outside the
-     table's range (garbage addresses reach the EPC before Vmem faults
-     them). Length 0 when naive or when the address-space size was not
-     supplied. *)
-  mutable page_table : int array;  (* [||] after [retire] *)
+  (* Residency (page -> slot) lives in exactly one of two places.
+     [page_table] is the fast engine's direct-mapped table covering the
+     simulated address space (-1 = not resident): the probe on every
+     DRAM access is one array read. [index] holds every page the table
+     does not cover: garbage pages outside the address space (they
+     reach the EPC before Vmem faults them), and every page under the
+     naive engine, whose table has length 0 — as it also has when the
+     address-space size was not supplied, or after [retire]. *)
+  index : (int, int) Hashtbl.t;
+  mutable page_table : int array;
   mutable hand : int;
   mutable used : int;
   mutable faults : int;
@@ -25,7 +25,9 @@ type t = {
      the memo is overwritten by every touch, so a matching page was the
      immediately preceding access and is necessarily still resident in
      [last_slot] — no eviction can have intervened. Skips the hashtable
-     lookup for same-page streaks. -1 = no memo (naive engine). *)
+     lookup for same-page streaks. -1 = no memo (naive engine); a
+     negative page never takes the memo, so a touch of page -1 cannot
+     match the empty memo. *)
   mutable last_page : int;
   mutable last_slot : int;
   fast : bool;
@@ -38,13 +40,14 @@ let table_pool : int array Sb_machine.Pool.t = Sb_machine.Pool.create ~max:8 ()
 let create ?(num_pages = 0) ~capacity_pages () =
   let capacity = max 1 capacity_pages in
   let fast = Sb_machine.Fastpath.is_enabled () in
+  let direct = fast && num_pages > 0 in
   {
     capacity;
     slots = Array.make capacity (-1);
     refbit = Bytes.make capacity '\000';
-    index = Hashtbl.create (capacity * 2);
+    index = Hashtbl.create (if direct then 16 else capacity * 2);
     page_table =
-      (if fast && num_pages > 0 then
+      (if direct then
          Sb_machine.Pool.get table_pool
            ~validate:(fun a -> Array.length a = num_pages)
            (fun () -> Array.make num_pages (-1))
@@ -63,23 +66,26 @@ let set_tracer t tracer = t.tracer <- tracer
 
 let emit t ev = match t.tracer with None -> () | Some f -> f ev
 
+let in_table t page = page >= 0 && page < Array.length t.page_table
+
+let resident_slot t page =
+  if in_table t page then Array.unsafe_get t.page_table page
+  else match Hashtbl.find_opt t.index page with Some s -> s | None -> -1
+
+let set_slot t page slot =
+  if in_table t page then Array.unsafe_set t.page_table page slot
+  else if slot < 0 then Hashtbl.remove t.index page
+  else Hashtbl.replace t.index page slot
+
 let rec touch t ~page =
-  if page = t.last_page then begin
+  if page = t.last_page && page >= 0 then begin
     Bytes.unsafe_set t.refbit t.last_slot '\001';
     true
   end
   else touch_slow t ~page
 
 and touch_slow t ~page =
-  let slot =
-    (* Residency probe: direct-mapped table when the page is inside the
-       simulated address space, hashtable otherwise. Both views are kept
-       in sync on every insert and eviction. *)
-    if page >= 0 && page < Array.length t.page_table then
-      Array.unsafe_get t.page_table page
-    else
-      match Hashtbl.find_opt t.index page with Some s -> s | None -> -1
-  in
+  let slot = resident_slot t page in
   if slot >= 0 then begin
     if t.fast then begin
       t.last_page <- page;
@@ -112,18 +118,14 @@ and touch_slow t ~page =
         t.evictions <- t.evictions + 1;
         let victim = t.slots.(s) in
         emit t (Evict { page = victim; slot = s });
-        Hashtbl.remove t.index victim;
-        if victim >= 0 && victim < Array.length t.page_table then
-          Array.unsafe_set t.page_table victim (-1);
+        set_slot t victim (-1);
         s
       end
     in
     emit t (Fault { page });
     t.slots.(slot) <- page;
     Bytes.set t.refbit slot '\001';
-    Hashtbl.replace t.index page slot;
-    if page >= 0 && page < Array.length t.page_table then
-      Array.unsafe_set t.page_table page slot;
+    set_slot t page slot;
     if t.fast then begin
       t.last_page <- page;
       t.last_slot <- slot
@@ -143,11 +145,7 @@ let reset_stats t =
 let clear t =
   (* Un-map only the resident pages from the direct table — cheaper than
      refilling the whole address space. *)
-  Array.iter
-    (fun page ->
-       if page >= 0 && page < Array.length t.page_table then
-         Array.unsafe_set t.page_table page (-1))
-    t.slots;
+  Array.iter (fun page -> if in_table t page then Array.unsafe_set t.page_table page (-1)) t.slots;
   Array.fill t.slots 0 t.capacity (-1);
   Bytes.fill t.refbit 0 t.capacity '\000';
   Hashtbl.reset t.index;

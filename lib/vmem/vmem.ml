@@ -11,7 +11,15 @@ type fault_kind = Unmapped | Guard_hit | Write_to_ro
 exception Fault of { addr : int; kind : fault_kind }
 exception Enclave_oom of { requested : int; reserved : int; limit : int }
 
-type page = { data : Bytes.t; mutable perm : perm }
+type page = { mutable data : Bytes.t; mutable perm : perm }  (* [data]: see [zero_page] *)
+
+(* Demand-zero backing: every freshly mapped page reads this one shared
+   buffer until it is first written, so mapping a large arena costs one
+   small record per page instead of a zero-filled 4 KiB each. Nothing
+   ever writes it: every write path translates through [get_page_wr],
+   whose slow path gives the page its own bytes before the write memo
+   can hold it. *)
+let zero_page = Bytes.make page_size '\000'
 
 (* The shared sentinel stands for "unmapped" in the dense page array:
    every access path discriminates on [perm] first, so giving it [Guard]
@@ -20,7 +28,7 @@ type page = { data : Bytes.t; mutable perm : perm }
    compare. Identified by physical equality; its perm is never mutated
    and its data never touched, so sharing one across all address spaces
    (and domains) is safe. *)
-let sentinel = { data = Bytes.make page_size '\000'; perm = Guard }
+let sentinel = { data = zero_page; perm = Guard }
 
 type t = {
   mutable pages : page array;  (* dense; [sentinel] = unmapped; [||] = retired *)
@@ -130,7 +138,7 @@ let map t ?addr ~len ~perm () =
       p
   in
   for i = page0 to page0 + npages - 1 do
-    t.pages.(i) <- { data = Bytes.make page_size '\000'; perm }
+    t.pages.(i) <- { data = zero_page; perm }
   done;
   t.mapped_ranges <- (page0, npages) :: t.mapped_ranges;
   t.reserved <- t.reserved + bytes;
@@ -196,6 +204,7 @@ let get_page_wr_slow t addr =
   let p = Array.unsafe_get t.pages idx in
   match p.perm with
   | Read_write ->
+    if p.data == zero_page then p.data <- Bytes.make page_size '\000';
     if t.fast then begin
       t.wr_idx <- idx;
       t.wr_page <- p

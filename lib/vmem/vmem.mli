@@ -45,7 +45,10 @@ val create : Sb_machine.Config.t -> t
 
 (** [map t ?addr ~len ~perm] reserves [len] bytes (rounded to pages). If
     [addr] is given the mapping is fixed at that (page-aligned) address,
-    otherwise a free range is chosen. Returns the start address.
+    otherwise a free range is chosen. Returns the start address. The
+    pages read as zero; host memory for a page is only allocated on its
+    first write (demand-zero), while [reserved_bytes] counts the whole
+    mapping at once.
     @raise Enclave_oom if the enclave memory limit would be exceeded.
     @raise Invalid_argument on overlap with an existing mapping. *)
 val map : t -> ?addr:int -> len:int -> perm:perm -> unit -> int

@@ -274,3 +274,116 @@ let suite =
     Alcotest.test_case "buddy random walk (seed 2)" `Quick (test_buddy_walk 2);
     Alcotest.test_case "bump random walk" `Quick test_bump_walk;
   ]
+
+(* --- the live-chunk table: contracts and a reference model --- *)
+
+let test_is_live_rejects_non_payloads () =
+  with_heap (fun _ h ->
+      let a = Freelist.alloc h 48 in
+      let big = Freelist.alloc h 20000 in
+      let freed = Freelist.alloc h 48 in
+      Freelist.free h freed;
+      let dead name addr =
+        Alcotest.(check bool) (name ^ ": not live") false (Freelist.is_live h addr);
+        (match Freelist.chunk_size h addr with
+         | _ -> Alcotest.failf "%s: chunk_size accepted %#x" name addr
+         | exception Invalid_argument _ -> ());
+        match Freelist.free h addr with
+        | () -> Alcotest.failf "%s: free accepted %#x" name addr
+        | exception Invalid_argument _ -> ()
+      in
+      Alcotest.(check bool) "payload live" true (Freelist.is_live h a);
+      Alcotest.(check bool) "large payload live" true (Freelist.is_live h big);
+      dead "negative" (-16);
+      dead "negative payload alias" (a - (1 lsl 40));
+      dead "misaligned by 1" (a + 1);
+      dead "misaligned by 8" (a + 8);
+      dead "header" (a - 16);
+      dead "interior of a large chunk" (big + 4096);
+      dead "beyond addr_mask" (Vmem.addr_mask + 1);
+      dead "payload alias above addr_mask" (a + (Vmem.addr_mask + 1));
+      dead "max_int" (max_int land lnot 15);
+      dead "never allocated" (Vmem.addr_mask land lnot 4095);
+      dead "freed" freed;
+      Alcotest.(check int) "two live chunks" 2 (Freelist.live_chunks h))
+
+let test_double_and_wild_free_raise () =
+  with_heap (fun _ h ->
+      let a = Freelist.alloc h 100 in
+      Freelist.free h a;
+      Alcotest.check_raises "double free"
+        (Invalid_argument "Freelist.free: not a live chunk") (fun () -> Freelist.free h a);
+      Alcotest.check_raises "wild free"
+        (Invalid_argument "Freelist.free: not a live chunk")
+        (fun () -> Freelist.free h 0x4000_0000);
+      (* the failed frees left the accounting alone *)
+      Alcotest.(check int) "no live chunks" 0 (Freelist.live_chunks h);
+      Alcotest.(check int) "no live bytes" 0 (Freelist.live_bytes h);
+      let b = Freelist.alloc h 100 in
+      Alcotest.(check int) "reuses the freed chunk once" a b;
+      Alcotest.(check bool) "next alloc is fresh" true (Freelist.alloc h 100 <> a))
+
+(* Size classes as the allocator documents them. *)
+let ref_class size =
+  if size <= 512 then Util.align_up (max size 16) 16
+  else if size <= 65536 then Util.align_up size 256
+  else Util.align_up size 4096
+
+let test_churn_matches_reference seed () =
+  with_heap (fun _ h ->
+      let rng = Rng.create seed in
+      let model = Hashtbl.create 256 in (* payload -> class *)
+      let check step =
+        let bytes = Hashtbl.fold (fun _ c acc -> acc + c) model 0 in
+        if Freelist.live_chunks h <> Hashtbl.length model then
+          Alcotest.failf "step %d: live_chunks %d, model %d" step (Freelist.live_chunks h)
+            (Hashtbl.length model);
+        if Freelist.live_bytes h <> bytes then
+          Alcotest.failf "step %d: live_bytes %d, model %d" step (Freelist.live_bytes h) bytes;
+        Hashtbl.iter
+          (fun a c ->
+             if Freelist.chunk_size h a <> c then
+               Alcotest.failf "step %d: chunk_size %#x = %d, model %d" step a
+                 (Freelist.chunk_size h a) c)
+          model
+      in
+      let freed = ref [] in
+      for step = 1 to 1500 do
+        if Hashtbl.length model = 0 || Rng.bernoulli rng 0.55 then begin
+          let size =
+            match Rng.int rng 10 with
+            | 0 -> 513 + Rng.int rng 70000 (* page- and 256-granular classes *)
+            | _ -> 1 + Rng.int rng 512
+          in
+          let a = Freelist.alloc h size in
+          if Hashtbl.mem model a then Alcotest.failf "step %d: %#x handed out twice" step a;
+          Hashtbl.replace model a (ref_class size)
+        end
+        else begin
+          let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
+          let a = List.nth (List.sort compare keys) (Rng.int rng (List.length keys)) in
+          Freelist.free h a;
+          Hashtbl.remove model a;
+          freed := a :: !freed
+        end;
+        if step mod 100 = 0 then check step
+      done;
+      check 1500;
+      List.iter
+        (fun a ->
+           if Freelist.is_live h a <> Hashtbl.mem model a then
+             Alcotest.failf "is_live %#x disagrees with the model" a)
+        !freed)
+
+let suite =
+  suite
+  @ [
+    Alcotest.test_case "live table: non-payload addresses are not live" `Quick
+      test_is_live_rejects_non_payloads;
+    Alcotest.test_case "live table: double and wild free raise" `Quick
+      test_double_and_wild_free_raise;
+    Alcotest.test_case "live table: churn matches a reference model (seed 1)" `Quick
+      (test_churn_matches_reference 1);
+    Alcotest.test_case "live table: churn matches a reference model (seed 2)" `Quick
+      (test_churn_matches_reference 2);
+  ]

@@ -531,6 +531,69 @@ let test_vmem_kernel () =
   let df, dn = both vmem_kernel in
   check_int "vmem digest" df dn
 
+(* ------------------------------------------------------------------ *)
+(* EPC residency outside the fast engine's direct-mapped table          *)
+(* ------------------------------------------------------------------ *)
+
+module Epc = Sb_sgx.Epc
+
+(* The fast engine keeps residency for pages inside the simulated
+   address space in a direct table and everything else in a hashtable;
+   the naive engine keeps all of it in the hashtable. Mix in-table pages
+   with negative pages and pages above [addr_mask], on an EPC small
+   enough that out-of-table pages get evicted and re-faulted, and record
+   every residency answer, paging event and counter. *)
+let epc_outside_kernel () =
+  let num_pages = (Vmem.addr_mask + 1) lsr 12 in
+  let e = Epc.create ~num_pages ~capacity_pages:6 () in
+  let events = ref [] in
+  Epc.set_tracer e
+    (Some
+       (function
+         | Epc.Fault { page } -> events := (0, page, 0) :: !events
+         | Epc.Evict { page; slot } -> events := (1, page, slot) :: !events));
+  let pages =
+    [| 0; 1; 17; num_pages - 1; -1; -4096; min_int; num_pages; num_pages + 5;
+       (Vmem.addr_mask + 1) * 3; max_int |]
+  in
+  let rng = Sb_machine.Rng.create 7 in
+  let log = ref [] in
+  let checkpoint () =
+    log := Epc.resident_pages e :: Epc.evictions e :: Epc.faults e :: !log
+  in
+  for i = 1 to 3000 do
+    let page = Sb_machine.Rng.pick rng pages in
+    log := (if Epc.touch e ~page then 1 else 0) :: !log;
+    if i mod 500 = 0 then checkpoint ();
+    if i = 1500 then Epc.clear e
+  done;
+  checkpoint ();
+  (* Through the memory system: garbage addresses are charged (and reach
+     the EPC) before Vmem faults them. *)
+  let ms = Memsys.create (Config.default ~epc_bytes:(4 * 4096) ()) in
+  let a = Vmem.map (Memsys.vmem ms) ~len:(8 * 4096) ~perm:Vmem.Read_write () in
+  for i = 0 to 400 do
+    let addr =
+      match i mod 4 with
+      | 0 -> a + (i * 4096 mod (8 * 4096))
+      | 1 -> -((i * 4096) + 64)
+      | 2 -> Vmem.addr_mask + 1 + (i * 4096)
+      | _ -> a + 64
+    in
+    Memsys.touch ms ~addr ~width:8;
+    match Memsys.load ms ~addr ~width:8 with
+    | v -> log := v :: !log
+    | exception Vmem.Fault _ -> log := -7 :: !log
+  done;
+  log := Memsys.epc_faults ms :: Memsys.epc_evictions ms :: !log;
+  (List.rev !events, List.rev !log, probe ms)
+
+let test_epc_outside_table () =
+  let (ef, lf, pf), (en, ln, pn) = both epc_outside_kernel in
+  Alcotest.(check (list (triple int int int))) "paging events" en ef;
+  Alcotest.(check (list int)) "residency answers and counters" ln lf;
+  check_probe "epc-outside memsys" pf pn
+
 let suite =
   [
     Alcotest.test_case "fast = naive: workloads x schemes" `Slow test_workloads;
@@ -547,4 +610,6 @@ let suite =
     Alcotest.test_case "fast = naive: machine pool reuse" `Quick test_pool_reuse;
     Alcotest.test_case "fast = naive: vmem codecs, faults, accounting" `Quick
       test_vmem_kernel;
+    Alcotest.test_case "fast = naive: EPC pages outside the direct table" `Quick
+      test_epc_outside_table;
   ]

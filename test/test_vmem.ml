@@ -270,3 +270,106 @@ let pr2_suite =
   ]
 
 let suite = suite @ extra_suite @ pr2_suite
+
+(* Demand-zero pages: a mapped page shares one zero buffer until its
+   first write. Each case runs under both engines, since only the fast
+   one memoizes write translations. *)
+
+module Fastpath = Sb_machine.Fastpath
+
+let under_both_engines f () =
+  List.iter (fun k -> Fastpath.with_kind k f) [ Fastpath.Fast; Fastpath.Naive ]
+
+let test_unwritten_page_reads_zero () =
+  let vm = create () in
+  let a = Vmem.map vm ~len:(4 * page) ~perm:Vmem.Read_write () in
+  List.iter
+    (fun (off, w) ->
+       Alcotest.(check int) (Printf.sprintf "+%d width %d" off w) 0
+         (Vmem.load vm ~addr:(a + off) ~width:w))
+    [ (0, 1); (8, 8); (page - 2, 4); (3 * page + 100, 2) ];
+  Alcotest.(check string) "read_string" (String.make 64 '\000')
+    (Vmem.read_string vm ~addr:(a + page) ~len:64);
+  (* a write to one page leaves its untouched neighbours zero *)
+  Vmem.store vm ~addr:(a + page) ~width:8 0x55;
+  Alcotest.(check int) "written" 0x55 (Vmem.load vm ~addr:(a + page) ~width:8);
+  Alcotest.(check int) "neighbour still zero" 0 (Vmem.load vm ~addr:(a + (2 * page)) ~width:8)
+
+let test_zero_buffer_stays_zero () =
+  (* Every write path, in one space, then fresh mappings in a new space
+     must still read zero: no write may land in the shared buffer. *)
+  let vm1 = create () in
+  let a = Vmem.map vm1 ~len:(6 * page) ~perm:Vmem.Read_write () in
+  Vmem.store vm1 ~addr:a ~width:8 (-1);
+  Vmem.store vm1 ~addr:(a + page - 3) ~width:8 0x0102030405060708;
+  Vmem.write_string vm1 ~addr:(a + (2 * page)) (String.make 100 'x');
+  Vmem.fill vm1 ~addr:(a + (3 * page)) ~len:page ~byte:0xAB;
+  Vmem.blit vm1 ~src:(a + (3 * page)) ~dst:(a + (4 * page) + 7) ~len:200;
+  Vmem.store vm1 ~addr:(a + (5 * page) + 40) ~width:1 0xFF;
+  let vm2 = create () in
+  let b = Vmem.map vm2 ~len:(6 * page) ~perm:Vmem.Read_write () in
+  for i = 0 to 6 * page / 8 - 1 do
+    if Vmem.load vm2 ~addr:(b + (i * 8)) ~width:8 <> 0 then
+      Alcotest.failf "fresh mapping reads non-zero at +%d" (i * 8)
+  done;
+  (* and a fresh mapping in the first space too *)
+  let c = Vmem.map vm1 ~len:page ~perm:Vmem.Read_write () in
+  Alcotest.(check int) "fresh mapping in the written space" 0
+    (Vmem.load vm1 ~addr:(c + 40) ~width:8)
+
+let test_protect_ro_to_rw_then_write () =
+  let vm = create () in
+  let a = Vmem.map vm ~len:(2 * page) ~perm:Vmem.Read_only () in
+  Alcotest.(check int) "read-only page reads zero" 0 (Vmem.load vm ~addr:a ~width:8);
+  Alcotest.check_raises "read-only write faults"
+    (Vmem.Fault { addr = a; kind = Vmem.Write_to_ro })
+    (fun () -> Vmem.store vm ~addr:a ~width:8 1);
+  Vmem.protect vm ~addr:a ~len:page ~perm:Vmem.Read_write;
+  Vmem.store vm ~addr:(a + 16) ~width:8 0xC0FFEE;
+  Alcotest.(check int) "value kept" 0xC0FFEE (Vmem.load vm ~addr:(a + 16) ~width:8);
+  Alcotest.check_raises "second page still read-only"
+    (Vmem.Fault { addr = a + page; kind = Vmem.Write_to_ro })
+    (fun () -> Vmem.store vm ~addr:(a + page) ~width:1 1);
+  (* back to read-only: the value survives and writes fault again *)
+  Vmem.protect vm ~addr:a ~len:page ~perm:Vmem.Read_only;
+  Alcotest.(check int) "value survives re-protect" 0xC0FFEE
+    (Vmem.load vm ~addr:(a + 16) ~width:8);
+  Alcotest.check_raises "read-only again"
+    (Vmem.Fault { addr = a + 16; kind = Vmem.Write_to_ro })
+    (fun () -> Vmem.store vm ~addr:(a + 16) ~width:8 2)
+
+let test_asan_arena_reservation () =
+  (* The simulated memory metrics count the whole shadow arena at map
+     time, written or not: ASan's reservation over native's is exactly
+     the page-rounded scaled 512 MiB arena. *)
+  let reserved maker =
+    let m = ms () in
+    ignore (maker m);
+    let vm = Memsys.vmem m in
+    (Vmem.reserved_bytes vm, Vmem.peak_reserved_bytes vm)
+  in
+  let arena =
+    Sb_machine.Util.align_up (Config.scaled (cfg ()) (512 * 1024 * 1024)) page
+  in
+  let nr, np = reserved native and ar, ap = reserved asan in
+  Alcotest.(check int) "reserved: arena over native" arena (ar - nr);
+  Alcotest.(check int) "peak: arena over native" arena (ap - np);
+  let vm = create () in
+  let a = Vmem.map vm ~len:arena ~perm:Vmem.Read_write () in
+  Alcotest.(check int) "reserved right after map" arena (Vmem.reserved_bytes vm);
+  Alcotest.(check int) "peak right after map" arena (Vmem.peak_reserved_bytes vm);
+  Vmem.store vm ~addr:(a + arena - 8) ~width:8 1;
+  Alcotest.(check int) "a write does not move the reservation" arena
+    (Vmem.reserved_bytes vm)
+
+let demand_zero_suite =
+  List.map
+    (fun (name, f) -> Alcotest.test_case name `Quick (under_both_engines f))
+    [
+      ("demand-zero: unwritten pages read 0", test_unwritten_page_reads_zero);
+      ("demand-zero: shared zero buffer is never written", test_zero_buffer_stays_zero);
+      ("demand-zero: protect ro->rw then write", test_protect_ro_to_rw_then_write);
+      ("demand-zero: asan arena reservation unchanged", test_asan_arena_reservation);
+    ]
+
+let suite = suite @ demand_zero_suite
