@@ -18,6 +18,7 @@ module Config = Sb_machine.Config
 module Telemetry = Sb_telemetry.Telemetry
 module Sink = Sb_telemetry.Sink
 module Json = Sb_telemetry.Json
+module Tsv = Sb_telemetry.Tsv
 module Profile = Sb_telemetry.Profile
 
 (* Unknown workload/scheme names are user errors: report them cleanly on
@@ -268,250 +269,46 @@ let exploits_cmd =
     Term.(const run $ scheme_arg)
 
 let validate_bench_cmd =
-  (* results/fleet_capacity*.tsv: structural validation of the fleetcap
-     schema — identified by its header line, never parsed as JSON. *)
-  let validate_fleet_tsv file contents =
-    let header = Sb_service.Fleet.capacity_tsv_header in
-    let ncols = List.length (String.split_on_char '\t' header) in
-    let lines =
-      List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents)
-    in
-    let rows = List.tl lines in
-    if rows = [] then die "%s: fleet_capacity file has no data rows" file;
-    let int_at what row v =
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> n
-      | _ -> die "%s: row %d: %s %S is not a non-negative integer" file row what v
-    in
-    List.iteri
-      (fun i row ->
-         let r = i + 1 in
-         let cols = String.split_on_char '\t' row in
-         if List.length cols <> ncols then
-           die "%s: row %d has %d columns (expected %d)" file r (List.length cols) ncols;
-         let col n = List.nth cols n in
-         if String.trim (col 0) = "" then die "%s: row %d: empty scheme" file r;
-         if int_at "shards" r (col 1) < 1 then
-           die "%s: row %d: shards must be >= 1" file r;
-         ignore (int_at "records" r (col 4));
-         (match float_of_string_opt (col 5) with
-          | Some c when c >= 0. -> ()
-          | _ -> die "%s: row %d: capacity_kops %S is not a number" file r (col 5));
-         (match float_of_string_opt (col 6) with
-          | Some _ -> ()
-          | None -> die "%s: row %d: offered_rps %S is not a number" file r (col 6));
-         List.iteri
-           (fun j name -> ignore (int_at name r (col (7 + j))))
-           [ "completed"; "dropped"; "failed_over"; "lost"; "restarts";
-             "p50_cycles"; "p99_cycles" ];
-         let status = col 14 in
-         if status <> "ok" && not (String.length status >= 7 && String.sub status 0 7 = "crashed")
-         then die "%s: row %d: status %S is neither ok nor crashed" file r status)
-      rows;
-    Fmt.pr "%s: valid fleet_capacity table (%d rows, %d columns)@." file
-      (List.length rows) ncols
-  in
-  (* results/interface_matrix.tsv: the symbolic interface auditor's
-     Table-4-style conformance matrix, also header-identified. *)
-  let validate_matrix_tsv file contents =
-    let header = Sb_analysis.Symex.matrix_tsv_header in
-    let ncols = List.length (String.split_on_char '\t' header) in
-    let lines =
-      List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents)
-    in
-    let rows = List.tl lines in
-    if rows = [] then die "%s: interface_matrix file has no data rows" file;
-    List.iteri
-      (fun i row ->
-         let r = i + 1 in
-         let cols = String.split_on_char '\t' row in
-         if List.length cols <> ncols then
-           die "%s: row %d has %d columns (expected %d)" file r (List.length cols) ncols;
-         let col n = List.nth cols n in
-         if String.trim (col 0) = "" then die "%s: row %d: empty class" file r;
-         if String.trim (col 1) = "" then die "%s: row %d: empty scheme" file r;
-         (match col 2 with
-          | "ok" | "flagged" | "trapped" -> ()
-          | s -> die "%s: row %d: status %S not ok/flagged/trapped" file r s);
-         (match col 3 with
-          | "completed" | "trapped" | "fault" | "crash" -> ()
-          | s -> die "%s: row %d: outcome %S not completed/trapped/fault/crash" file r s);
-         let int_at what v =
-           match int_of_string_opt v with
-           | Some n when n >= 0 -> n
-           | _ -> die "%s: row %d: %s %S is not a non-negative integer" file r what v
-         in
-         ignore (int_at "findings" (col 4));
-         if String.trim (col 5) = "" then die "%s: row %d: empty kinds column" file r;
-         ignore (int_at "wild" (col 6));
-         (match col 7 with
-          | "0" | "1" -> ()
-          | s -> die "%s: row %d: corrupted %S is not 0/1" file r s))
-      rows;
-    Fmt.pr "%s: valid interface_matrix table (%d rows, %d columns)@." file
-      (List.length rows) ncols
-  in
-  (* results/check_elision.tsv: the static check optimizer's per-cell
-     elision table, also header-identified. *)
-  let validate_elision_tsv file contents =
-    let header = Sb_analysis.Optimizer.elision_tsv_header in
-    let ncols = List.length (String.split_on_char '\t' header) in
-    let lines =
-      List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents)
-    in
-    let rows = List.tl lines in
-    if rows = [] then die "%s: check_elision file has no data rows" file;
-    let strong = ref 0 in
-    List.iteri
-      (fun i row ->
-         let r = i + 1 in
-         let cols = String.split_on_char '\t' row in
-         if List.length cols <> ncols then
-           die "%s: row %d has %d columns (expected %d)" file r (List.length cols) ncols;
-         let col n = List.nth cols n in
-         if String.trim (col 0) = "" then die "%s: row %d: empty workload" file r;
-         if String.trim (col 1) = "" then die "%s: row %d: empty scheme" file r;
-         let int_at what v =
-           match int_of_string_opt v with
-           | Some n when n >= 0 -> n
-           | _ -> die "%s: row %d: %s %S is not a non-negative integer" file r what v
-         in
-         if int_at "n" (col 2) < 1 then die "%s: row %d: n must be >= 1" file r;
-         ignore (int_at "sites" (col 3));
-         let before = int_at "checks_before" (col 4) in
-         let after = int_at "checks_after" (col 5) in
-         if after > before then
-           die "%s: row %d: checks_after %d exceeds checks_before %d" file r after before;
-         ignore (int_at "elided" (col 6));
-         ignore (int_at "hoisted" (col 7));
-         let removed =
-           match float_of_string_opt (col 8) with
-           | Some p when p >= 0. && p <= 100. -> p
-           | _ -> die "%s: row %d: removed_pct %S not in [0,100]" file r (col 8)
-         in
-         ignore (int_at "cycles_before" (col 9));
-         ignore (int_at "cycles_after" (col 10));
-         (match float_of_string_opt (col 11) with
-          | Some _ -> ()
-          | None -> die "%s: row %d: cycle_delta_pct %S is not a number" file r (col 11));
-         if col 1 = "sgxbounds" && removed >= 20.0 then incr strong)
-      rows;
-    (* the acceptance floor: the optimizer must remove >= 20% of dynamic
-       checks on at least 3 workloads under SGXBounds *)
-    if !strong < 3 then
-      die "%s: only %d sgxbounds row(s) reach a 20%% removal rate (need >= 3)" file
-        !strong;
-    Fmt.pr "%s: valid check_elision table (%d rows, %d >= 20%% under sgxbounds)@." file
-      (List.length rows) !strong
+  (* every committed results table, recognised by its header line *)
+  let tables =
+    [ Sb_service.Fleet.capacity_schema; Sb_analysis.Symex.matrix_schema;
+      Sb_analysis.Optimizer.elision_schema; Sb_service.Experiment.tsv_schema;
+      Sb_fex.Fex.schema; Sb_harness.Agreement.schema ]
   in
   let run file =
     let contents =
       try In_channel.with_open_bin file In_channel.input_all
       with Sys_error e -> die "cannot read %s: %s" file e
     in
-    let starts_with prefix =
-      String.length contents >= String.length prefix
-      && String.sub contents 0 (String.length prefix) = prefix
-    in
-    if starts_with Sb_service.Fleet.capacity_tsv_header then
-      validate_fleet_tsv file contents
-    else if starts_with Sb_analysis.Symex.matrix_tsv_header then
-      validate_matrix_tsv file contents
-    else if starts_with Sb_analysis.Optimizer.elision_tsv_header then
-      validate_elision_tsv file contents
-    else
-    match Json.parse contents with
-    | Error msg -> die "%s: invalid JSON: %s" file msg
-    | Ok j ->
-      let num ?(where = j) k =
-        match Json.member k where with
-        | Some (Json.Int _ | Json.Float _) -> ()
-        | Some _ -> die "%s: key %S is not a number" file k
-        | None -> die "%s: missing key %S" file k
-      in
-      let str k =
-        match Json.member k j with
-        | Some (Json.Str _) -> ()
-        | Some _ -> die "%s: key %S is not a string" file k
-        | None -> die "%s: missing key %S" file k
-      in
-      (* The engine key names which memory engine produced the numbers;
-         only the two engines the simulator actually has are valid. *)
-      let engine () =
-        str "engine";
-        match Json.member "engine" j with
-        | Some (Json.Str ("naive" | "fast")) -> ()
-        | Some (Json.Str e) ->
-          die "%s: unknown engine %S (expected naive or fast)" file e
-        | _ -> assert false
-      in
-      (match Json.member "bench" j with
-       | Some (Json.Str "score") ->
-         (* `bench score' document: deterministic per-kernel scores + trend *)
-         engine ();
-         num "score_total";
-         (match Json.member "kernels" j with
-          | Some (Json.List (_ :: _ as ks)) ->
-            List.iter
-              (fun k ->
-                 match (Json.member "kernel" k, Json.member "score" k) with
-                 | Some (Json.Str _), Some (Json.Int _) -> ()
-                 | _ -> die "%s: malformed kernel entry" file)
-              ks
-          | _ -> die "%s: missing or empty \"kernels\" array" file);
-         (match Json.member "trend" j with
-          | Some (Json.List (_ :: _)) -> ()
-          | _ -> die "%s: missing or empty \"trend\" array" file);
-         Fmt.pr "%s: valid score document (engine, score_total, kernels, trend)@." file
-       | Some (Json.Str "throughput") | None ->
-         (* `bench throughput' document (v1 files have no "bench" key) *)
-         num "sim_maps";
-         num "speedup_vs_naive";
-         let version =
-           match Json.member "version" j with Some (Json.Int v) -> v | _ -> 1
-         in
-         if version >= 2 then begin
-           engine ();
-           num "score_total";
-           num "jobs_effective"
-         end;
-         (* v3 adds the engine agreement proof, plus the retired trace
-            engine's rates; v4 drops those rates *)
-         if version = 3 then begin
-           num "trace_maps";
-           num "speedup_trace_vs_naive"
-         end;
-         if version >= 3 then begin
-           num "host_cores";
-           (match Json.member "agreement" j with
-            | Some (Json.Obj _ as a) ->
-              (match Json.member "fingerprint" a with
-               | Some (Json.Str _) -> ()
-               | _ -> die "%s: \"agreement\" lacks a fingerprint string" file)
-            | Some _ -> die "%s: \"agreement\" is not an object" file
-            | None -> die "%s: missing key \"agreement\"" file)
-         end;
-         Fmt.pr "%s: valid throughput document (v%d%s)@." file version
-           (match version with
-            | v when v >= 4 -> ": engine, agreement present"
-            | 3 -> ": engine, trace_maps, agreement present"
-            | 2 -> ": engine, score_total, jobs_effective present"
-            | _ -> "")
-       | Some (Json.Str b) -> die "%s: unknown bench kind %S" file b
-       | Some _ -> die "%s: \"bench\" key is not a string" file)
+    match Tsv.find tables contents with
+    | Some schema ->
+      (match Tsv.validate schema contents with
+       | Ok rows ->
+         Fmt.pr "%s: valid %s table (%d rows, %d columns)@." file schema.Tsv.name rows
+           (List.length schema.Tsv.columns)
+       | Error e -> die "%s: %s" file (Tsv.error_to_string e))
+    | None ->
+      (match Json.parse contents with
+       | Error msg -> die "%s: neither a known results table nor JSON: %s" file msg
+       | Ok j ->
+         (match Sb_service.Score.validate j with
+          | Ok () -> Fmt.pr "%s: valid score document (engine, score_total, kernels, trend)@." file
+          | Error msg -> die "%s: %s" file msg))
   in
   let file_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"BENCH_*.json file.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
+           ~doc:"A results/*.tsv table or a `bench score' JSON document.")
   in
   Cmd.v
     (Cmd.info "validate-bench"
-       ~doc:"Validate a BENCH_*.json emitted by `bench/main.exe throughput' or `bench \
-             score': must parse as JSON and carry the keys of its schema (throughput: \
-             numeric sim_maps/speedup_vs_naive, plus engine/score_total/jobs_effective \
-             from v2; score: engine, score_total, per-kernel scores and a trend array). \
-             Also validates results/fleet_capacity*.tsv and \
-             results/interface_matrix.tsv tables (recognised by their header \
-             line) structurally.")
+       ~doc:"Validate a committed results table or bench document. A TSV file is \
+             recognised by its header line as one of the committed tables \
+             (fleet_capacity, interface_matrix, check_elision, fig13_latency, the \
+             fig7/fig11 overhead tables, engine_agreement) and checked against that \
+             table's declared schema: column count, each cell's type, and the \
+             table's row and table rules. Any other file must be a `bench score' \
+             JSON document: engine, score_total, per-kernel scores and a trend \
+             array. Exits 2 on the first problem, naming its row.")
     Term.(const run $ file_arg)
 
 let fuzz_cmd =

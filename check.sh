@@ -51,16 +51,35 @@ else
   grep -q '"traceEvents"' "$trace"
 fi
 
-echo "== bench smoke: throughput (fast vs naive engine)"
-bench_out=$(mktemp /tmp/sgxbounds-bench.XXXXXX.json)
-trap 'rm -f "$trace" "$bench_out"' EXIT
-_build/default/bench/main.exe --smoke --out "$bench_out" throughput >/dev/null
-"$CLI" validate-bench "$bench_out"
+echo "== committed results tables: regenerate in place with -j 2, must not move, validate"
+# Every table under results/ is a pure function of the code. Regenerate
+# each in place (fig7/fig11, fig13 latency, fleet capacity, the naive-vs-
+# fast engine agreement sweep, the interface matrix and the check
+# elision table) and fail if any byte moved. `bench agree' also exits
+# non-zero if the two engines disagree on any of its 261 cells.
+results_before=$(mktemp -d /tmp/sgxbounds-results.XXXXXX)
+trap 'rm -rf "$trace" "$results_before"' EXIT
+cp -R results/. "$results_before"
+_build/default/bench/main.exe -j 2 results fig13curves fleetcap agree >/dev/null
+"$CLI" analyze --symbolic --matrix results/interface_matrix.tsv -j 2 >/dev/null
+"$CLI" analyze --optimize -j 2 --out results/check_elision.tsv >/dev/null
+diff -r "$results_before" results
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code -- results/
+  test -z "$(git ls-files --others --exclude-standard -- results/)"
+fi
+for table in results/*.tsv; do
+  "$CLI" validate-bench "$table"
+done
 
-echo "== bench smoke: fig13curves (open-loop service sweep)"
-_build/default/bench/main.exe --smoke -j 2 fig13curves >/dev/null
-test -s results/fig13_latency_smoke.tsv
-rm -f results/fig13_latency_smoke.tsv
+echo "== validate-bench rejects a truncated table"
+truncated=$(mktemp /tmp/sgxbounds-truncated.XXXXXX.tsv)
+trap 'rm -rf "$trace" "$results_before" "$truncated"' EXIT
+head -c 300 results/fleet_capacity.tsv > "$truncated"
+if "$CLI" validate-bench "$truncated" >/dev/null 2>&1; then
+  echo "validate-bench accepted a truncated fleet_capacity table" >&2
+  exit 1
+fi
 
 echo "== CLI smoke: serve --smoke (underload + overload shed)"
 serve_out=$("$CLI" serve --app memcached --scheme sgxbounds --rate 400000 --smoke --json)
@@ -80,7 +99,7 @@ else
 fi
 # Chrome-trace sink: slowest-request exemplar spans as trace events
 serve_trace=$(mktemp /tmp/sgxbounds-serve-trace.XXXXXX.json)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace"' EXIT
+trap 'rm -rf "$trace" "$results_before" "$truncated" "$serve_trace"' EXIT
 "$CLI" serve --app memcached --scheme sgxbounds --rate 400000 --smoke \
   --trace "$serve_trace" >/dev/null
 if command -v jq >/dev/null 2>&1; then
@@ -139,11 +158,6 @@ if command -v jq >/dev/null 2>&1; then
 fi
 test "$fleet_kill" = "$(fleet_kill_cmd)"
 
-echo "== bench smoke: fleetcap (capacity vs shard count)"
-_build/default/bench/main.exe --smoke -j 2 fleetcap >/dev/null
-"$CLI" validate-bench results/fleet_capacity_smoke.tsv
-rm -f results/fleet_capacity_smoke.tsv
-
 echo "== CLI smoke: profile (site attribution, 1 workload x 2 schemes)"
 prof_out=$("$CLI" profile -w kmeans -s sgxbounds -n 512 --json)
 if command -v jq >/dev/null 2>&1; then
@@ -155,7 +169,7 @@ fi
 "$CLI" profile -w kmeans -s mpx -n 512 --json | grep -q '"total_cycles"'
 # collapsed-stack flamegraph export: non-empty "site;...;site cycles" lines
 collapsed=$(mktemp /tmp/sgxbounds-collapsed.XXXXXX.txt)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed"' EXIT
+trap 'rm -rf "$trace" "$results_before" "$truncated" "$serve_trace" "$collapsed"' EXIT
 "$CLI" profile -w kmeans -s sgxbounds -n 512 --out "$collapsed" >/dev/null
 test -s "$collapsed"
 grep -Eq '^[^ ]+ [0-9]+$' "$collapsed"
@@ -172,7 +186,7 @@ fi
 echo "== bench score: deterministic perf gate vs committed baseline"
 score_a=$(mktemp /tmp/sgxbounds-score-a.XXXXXX.json)
 score_b=$(mktemp /tmp/sgxbounds-score-b.XXXXXX.json)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$score_a" "$score_b"' EXIT
+trap 'rm -rf "$trace" "$results_before" "$truncated" "$serve_trace" "$collapsed" "$score_a" "$score_b"' EXIT
 _build/default/bench/main.exe --smoke --baseline BENCH_PR6.json \
   --label ci --out "$score_a" score >/dev/null
 _build/default/bench/main.exe --smoke --baseline BENCH_PR6.json \
@@ -200,11 +214,8 @@ echo "== perfbench selftest: an injected check-elision fault must fail the refer
 # benchmark's correctness check reports failed units and exits non-zero.
 python3 perfbench/run.py --selftest >/dev/null
 
-echo "== committed bench documents validate"
-"$CLI" validate-bench BENCH_PR2.json
+echo "== committed score baseline validates"
 "$CLI" validate-bench BENCH_PR6.json
-"$CLI" validate-bench BENCH_PR7.json
-"$CLI" validate-bench results/fleet_capacity.tsv
 
 echo "== audit selftest: seeded race + annotation mutants"
 "$CLI" analyze --selftest >/dev/null
@@ -251,25 +262,11 @@ if command -v jq >/dev/null 2>&1; then
   echo "$sym_corpus" | jq -e '[.cells[] | select(.scheme == "sgxbounds") | .status != "flagged"] | all' >/dev/null
 fi
 
-echo "== interface matrix: regenerate with -j 2, compare to committed, validate"
-matrix_tmp=$(mktemp /tmp/sgxbounds-matrix.XXXXXX.tsv)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$score_a" "$score_b" "$matrix_tmp"' EXIT
-"$CLI" analyze --symbolic --matrix "$matrix_tmp" -j 2 >/dev/null
-cmp "$matrix_tmp" results/interface_matrix.tsv
-"$CLI" validate-bench results/interface_matrix.tsv
-
 echo "== optimizer selftest: certificates, tamper rejection, determinism"
 # Exits non-zero if any certificate fails verification (static or
 # runtime), if a tampered plan slips through, or if plans differ
 # across engines.
 "$CLI" analyze --optimize --selftest >/dev/null
-
-echo "== check elision table: regenerate with -j 2, compare to committed, validate"
-elision_tmp=$(mktemp /tmp/sgxbounds-elision.XXXXXX.tsv)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$score_a" "$score_b" "$matrix_tmp" "$elision_tmp"' EXIT
-"$CLI" analyze --optimize -j 2 --out "$elision_tmp" >/dev/null
-cmp "$elision_tmp" results/check_elision.tsv
-"$CLI" validate-bench results/check_elision.tsv
 
 echo "== fuzz smoke: 200 symbolic seed traces through the differential oracle"
 "$CLI" fuzz --symbolic-seeds 200 -q

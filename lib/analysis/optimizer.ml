@@ -41,6 +41,7 @@ module Sitestream = Sb_protection.Sitestream
 module Optimized = Sb_protection.Optimized
 module Scheme_info = Sb_schemes.Scheme_info
 module Json = Sb_telemetry.Json
+module Tsv = Sb_telemetry.Tsv
 module Trace = Sb_fuzz.Trace
 module Oracle = Sb_fuzz.Oracle
 module Replay = Sb_fuzz.Replay
@@ -453,20 +454,34 @@ let sweep ?env ?threads ?n ?jobs ?(schemes = default_sweep_schemes) workloads =
 
 (* ---------- TSV / JSON / text reports ---------- *)
 
-let elision_tsv_header =
-  "workload\tscheme\tn\tsites\tchecks_before\tchecks_after\telided\thoisted\tremoved_pct\tcycles_before\tcycles_after\tcycle_delta_pct"
+(** [results/check_elision.tsv]. The table rule is the acceptance
+    floor: the optimizer removes >= 20% of the dynamic checks on at
+    least 3 workloads under SGXBounds. *)
+let elision_schema =
+  let count c = (c, Tsv.Nat 0) in
+  let strong r = Tsv.get r "scheme" = "sgxbounds" && Tsv.float r "removed_pct" >= 20.0 in
+  Tsv.schema "check_elision"
+    [ ("workload", Tsv.Text); ("scheme", Tsv.Text); ("n", Tsv.Nat 1); count "sites";
+      count "checks_before"; count "checks_after"; count "elided"; count "hoisted";
+      ("removed_pct", Tsv.Num (0., 100.)); count "cycles_before"; count "cycles_after";
+      ("cycle_delta_pct", Tsv.Num (neg_infinity, infinity)) ]
+    ~row_rules:
+      [ ( "checks_after <= checks_before",
+          fun r -> Tsv.int r "checks_after" <= Tsv.int r "checks_before" ) ]
+    ~table_rules:
+      [ ( "at least 3 sgxbounds rows with removed_pct >= 20",
+          fun rs -> List.length (List.filter strong rs) >= 3 ) ]
 
 let tsv_of_rows rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (elision_tsv_header ^ "\n");
-  List.iter
-    (fun r ->
-       Buffer.add_string b
-         (Printf.sprintf "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\t%d\t%d\t%.2f\n" r.r_workload
-            r.r_scheme r.r_n r.r_sites r.r_checks_before r.r_checks_after r.r_elided
-            r.r_hoisted r.r_removed_pct r.r_cycles_before r.r_cycles_after r.r_delta_pct))
-    rows;
-  Buffer.contents b
+  Tsv.to_string elision_schema
+    (List.map
+       (fun r ->
+          [ r.r_workload; r.r_scheme; string_of_int r.r_n; string_of_int r.r_sites;
+            string_of_int r.r_checks_before; string_of_int r.r_checks_after;
+            string_of_int r.r_elided; string_of_int r.r_hoisted;
+            Printf.sprintf "%.1f" r.r_removed_pct; string_of_int r.r_cycles_before;
+            string_of_int r.r_cycles_after; Printf.sprintf "%.2f" r.r_delta_pct ])
+       rows)
 
 let dir_name = function Read -> "read" | Write -> "write"
 

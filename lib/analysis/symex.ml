@@ -46,6 +46,7 @@ module Config = Sb_machine.Config
 module Scheme = Sb_protection.Scheme
 module Telemetry = Sb_telemetry.Telemetry
 module Json = Sb_telemetry.Json
+module Tsv = Sb_telemetry.Tsv
 module Harness = Sb_harness.Harness
 module Parallel_runner = Sb_harness.Parallel_runner
 module Handlers = Sb_apps.Handlers
@@ -630,23 +631,23 @@ let cell_kinds c =
 
 (** Column set deliberately excludes addresses and cycle counts so the
     bytes are identical across engines and [--jobs]. *)
-let matrix_tsv_header =
-  "class\tscheme\tstatus\toutcome\tfindings\tkinds\twild\tcorrupted"
+let matrix_schema =
+  Tsv.schema "interface_matrix"
+    [ ("class", Tsv.Text); ("scheme", Tsv.Text);
+      ("status", Tsv.One_of [ "ok"; "flagged"; "trapped" ]);
+      ("outcome", Tsv.One_of [ "completed"; "trapped"; "fault"; "crash" ]);
+      ("findings", Tsv.Nat 0); ("kinds", Tsv.Text); ("wild", Tsv.Nat 0);
+      ("corrupted", Tsv.One_of [ "0"; "1" ]) ]
 
 let matrix_tsv cells =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf matrix_tsv_header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun c ->
-       let kinds = match cell_kinds c with [] -> "-" | ks -> String.concat "," ks in
-       Buffer.add_string buf
-         (Printf.sprintf "%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\n" c.cc_class
-            c.cc_scheme c.cc_status c.cc_outcome
-            (List.length c.cc_findings) kinds c.cc_wild
-            (if c.cc_corrupted then 1 else 0)))
-    cells;
-  Buffer.contents buf
+  Tsv.to_string matrix_schema
+    (List.map
+       (fun c ->
+          let kinds = match cell_kinds c with [] -> "-" | ks -> String.concat "," ks in
+          [ c.cc_class; c.cc_scheme; c.cc_status; c.cc_outcome;
+            string_of_int (List.length c.cc_findings); kinds; string_of_int c.cc_wild;
+            (if c.cc_corrupted then "1" else "0") ])
+       cells)
 
 (** The Table-4 pins. Returns human-readable problems; empty = good:
     - the disciplined "good" handler is clean under every scheme;

@@ -1,6 +1,8 @@
 module Harness = Sb_harness.Harness
 module Registry = Sb_workloads.Registry
 module Config = Sb_machine.Config
+module Parallel_runner = Sb_harness.Parallel_runner
+module Tsv = Sb_telemetry.Tsv
 
 type cell = {
   workload : string;
@@ -56,7 +58,7 @@ let run_cell c =
   let r = Harness.run_one ~env:c.env ~threads:c.threads ?n:c.n ~scheme:c.scheme w in
   { cell = c; outcome = r.Harness.outcome }
 
-let run e = List.map run_cell e.cells
+let run ?jobs e = Parallel_runner.map_list ?jobs run_cell e.cells
 
 let check_deterministic ?(repetitions = 3) e =
   match e.cells with
@@ -132,16 +134,24 @@ let gmeans rows =
 
 let cellf = function None -> "-" | Some x -> Printf.sprintf "%.4f" x
 
+let schema =
+  let ratios = [ "perf_x"; "mem_x"; "llc_miss_x"; "epc_fault_x" ] in
+  Tsv.schema "fex_overheads"
+    ([ ("workload", Tsv.Text); ("scheme", Tsv.Text) ]
+     @ List.map (fun c -> (c, Tsv.Ratio)) ratios)
+    ~row_rules:
+      [ ( "a crashed cell is - in every ratio column",
+          fun r ->
+            let dashes = List.filter (fun c -> Tsv.get r c = "-") ratios in
+            dashes = [] || dashes = ratios ) ]
+
 let to_tsv rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "workload\tscheme\tperf_x\tmem_x\tllc_miss_x\tepc_fault_x\n";
-  List.iter
-    (fun r ->
-       Buffer.add_string b
-         (Printf.sprintf "%s\t%s\t%s\t%s\t%s\t%s\n" r.row_workload r.row_scheme
-            (cellf r.perf_x) (cellf r.mem_x) (cellf r.llc_miss_x) (cellf r.epc_fault_x)))
-    rows;
-  Buffer.contents b
+  Tsv.to_string schema
+    (List.map
+       (fun r ->
+          [ r.row_workload; r.row_scheme; cellf r.perf_x; cellf r.mem_x;
+            cellf r.llc_miss_x; cellf r.epc_fault_x ])
+       rows)
 
 let gnuplot_script e ~data_file =
   String.concat "\n"

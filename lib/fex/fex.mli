@@ -49,8 +49,10 @@ val matrix :
   ?envs:Sb_machine.Config.env list -> ?threads:int list ->
   ?sizes:int option list -> unit -> experiment
 
-(** Execute every cell (each on a fresh simulated machine). *)
-val run : experiment -> measurement list
+(** Execute every cell (each on a fresh simulated machine), fanned
+    across [jobs] domains (default 1); results are in cell order and
+    identical for every [jobs]. *)
+val run : ?jobs:int -> experiment -> measurement list
 
 (** Re-run a sample cell [repetitions] times and verify bit-identical
     results; returns the number of repetitions checked.
@@ -63,6 +65,11 @@ val normalize : experiment -> measurement list -> normalized_row list
 
 (** Geometric means of the defined [perf_x] per scheme. *)
 val gmeans : normalized_row list -> (string * float) list
+
+(** The overhead tables' schema ([results/fig7_phoenix_parsec.tsv],
+    [results/fig11_spec.tsv]): workload, scheme and four ratios over the
+    baseline, ["-"] for a crashed cell. *)
+val schema : Sb_telemetry.Tsv.t
 
 (** Render rows as TSV: header then one line per row ("-" = crash). *)
 val to_tsv : normalized_row list -> string

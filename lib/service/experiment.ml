@@ -13,6 +13,7 @@ module Harness = Sb_harness.Harness
 module Parallel_runner = Sb_harness.Parallel_runner
 module Wctx = Sb_workloads.Wctx
 module Profile = Sb_telemetry.Profile
+module Tsv = Sb_telemetry.Tsv
 open Sb_protection.Types
 
 type cell = {
@@ -132,29 +133,31 @@ let sweep ?jobs cells = Parallel_runner.map_list ?jobs run_cell cells
 
 (* ---------- TSV export ---------- *)
 
-let tsv_header =
-  "app\tscheme\tenv\toffered_rps\tthroughput_rps\toffered\tcompleted\tdropped\t\
-   max_queue\tp50_cycles\tp95_cycles\tp99_cycles\tmean_cycles\tmax_cycles\tstatus"
+(** [results/fig13_latency.tsv]: one row per (app, scheme, rate) point. *)
+let tsv_schema =
+  let count c = (c, Tsv.Nat 0) in
+  Tsv.schema "fig13_latency"
+    [ ("app", Tsv.Text); ("scheme", Tsv.Text);
+      ( "env",
+        Tsv.One_of
+          (List.map Harness.env_name [ Config.Outside_enclave; Config.Inside_enclave ]) );
+      ("offered_rps", Tsv.Num (0., infinity)); ("throughput_rps", Tsv.Num (0., infinity));
+      count "offered"; count "completed"; count "dropped"; count "max_queue";
+      count "p50_cycles"; count "p95_cycles"; count "p99_cycles";
+      ("mean_cycles", Tsv.Num (0., infinity)); count "max_cycles"; ("status", Tsv.Status) ]
 
-let tsv_line (p : point) =
-  match p.pt_outcome with
-  | Error msg ->
-    Printf.sprintf "%s\t%s\t%s\t%.0f\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\tcrashed: %s"
-      p.pt_app p.pt_scheme (Harness.env_name p.pt_env) p.pt_rate msg
-  | Ok st ->
-    let s = Service.summary st in
-    Printf.sprintf "%s\t%s\t%s\t%.0f\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.0f\t%d\tok"
-      p.pt_app p.pt_scheme (Harness.env_name p.pt_env) p.pt_rate
-      (Service.throughput_rps st) st.Service.offered st.Service.completed
-      st.Service.dropped st.Service.max_queue s.Latency.p50 s.Latency.p95
-      s.Latency.p99 s.Latency.mean s.Latency.max
-
-(** Write the sweep as a TSV table (one row per point), creating the
-    directory if needed. *)
-let write_tsv ~path points =
-  let dir = Filename.dirname path in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out path in
-  output_string oc (tsv_header ^ "\n");
-  List.iter (fun p -> output_string oc (tsv_line p ^ "\n")) points;
-  close_out oc
+let tsv_row (p : point) =
+  let fields =
+    match p.pt_outcome with
+    | Error msg -> List.init 10 (fun _ -> "0") @ [ "crashed: " ^ msg ]
+    | Ok st ->
+      let s = Service.summary st in
+      [ Printf.sprintf "%.0f" (Service.throughput_rps st)
+      ; string_of_int st.Service.offered; string_of_int st.Service.completed
+      ; string_of_int st.Service.dropped; string_of_int st.Service.max_queue
+      ; string_of_int s.Latency.p50; string_of_int s.Latency.p95
+      ; string_of_int s.Latency.p99; Printf.sprintf "%.0f" s.Latency.mean
+      ; string_of_int s.Latency.max; "ok" ]
+  in
+  [ p.pt_app; p.pt_scheme; Harness.env_name p.pt_env; Printf.sprintf "%.0f" p.pt_rate ]
+  @ fields

@@ -41,6 +41,7 @@ module Parallel_runner = Sb_harness.Parallel_runner
 module Wctx = Sb_workloads.Wctx
 module Memcached_sim = Sb_apps.Memcached_sim
 module Histogram = Sb_telemetry.Metrics.Histogram
+module Tsv = Sb_telemetry.Tsv
 open Sb_protection.Types
 
 (* ---------- balancer policies ---------- *)
@@ -592,23 +593,32 @@ let sweep ?jobs cfgs = Parallel_runner.map_list ?jobs run cfgs
 
 (* ---------- fleetcap TSV schema ---------- *)
 
-let capacity_tsv_header =
-  "scheme\tshards\tpolicy\tycsb\trecords\tcapacity_kops\toffered_rps\t\
-   completed\tdropped\tfailed_over\tlost\trestarts\tp50_cycles\tp99_cycles\tstatus"
+(** [results/fleet_capacity.tsv]: one row per (scheme, shard count). *)
+let capacity_schema =
+  let count c = (c, Tsv.Nat 0) in
+  Tsv.schema "fleet_capacity"
+    [ ("scheme", Tsv.Text); ("shards", Tsv.Nat 1); ("policy", Tsv.One_of policy_names);
+      ("ycsb", Tsv.One_of (List.map Ycsb.name Ycsb.all)); count "records";
+      ("capacity_kops", Tsv.Num (0., infinity));
+      ("offered_rps", Tsv.Num (neg_infinity, infinity)); count "completed";
+      count "dropped"; count "failed_over"; count "lost"; count "restarts";
+      count "p50_cycles"; count "p99_cycles"; ("status", Tsv.Status) ]
 
-(** One row of [results/fleet_capacity.tsv]: the closed-loop capacity of
-    a (scheme, shard count) cell plus the open-loop run at the target
-    rate that supplies its tail latency. *)
-let capacity_tsv_line ~scheme ~shards ~policy ~workload ~records ~capacity_kops
+(** The cells of one [results/fleet_capacity.tsv] row: the closed-loop
+    capacity of a (scheme, shard count) cell plus the open-loop run at
+    the target rate that supplies its tail latency. *)
+let capacity_row ~scheme ~shards ~policy ~workload ~records ~capacity_kops
     ~offered_rps outcome =
-  match outcome with
-  | Error msg ->
-    Printf.sprintf "%s\t%d\t%s\t%s\t%d\t%.1f\t%.0f\t0\t0\t0\t0\t0\t0\t0\tcrashed: %s"
-      scheme shards (policy_name policy) (Ycsb.name workload) records
-      capacity_kops offered_rps msg
-  | Ok st ->
-    let s = summary st in
-    Printf.sprintf "%s\t%d\t%s\t%s\t%d\t%.1f\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\tok"
-      scheme shards (policy_name policy) (Ycsb.name workload) records
-      capacity_kops offered_rps st.completed st.dropped st.failed_over st.lost
-      st.restarts s.Latency.p50 s.Latency.p99
+  let counts, status =
+    match outcome with
+    | Error msg -> (List.init 7 (fun _ -> 0), "crashed: " ^ msg)
+    | Ok st ->
+      let s = summary st in
+      ( [ st.completed; st.dropped; st.failed_over; st.lost; st.restarts;
+          s.Latency.p50; s.Latency.p99 ],
+        "ok" )
+  in
+  [ scheme; string_of_int shards; policy_name policy; Ycsb.name workload;
+    string_of_int records; Printf.sprintf "%.1f" capacity_kops;
+    Printf.sprintf "%.0f" offered_rps ]
+  @ List.map string_of_int counts @ [ status ]

@@ -281,6 +281,47 @@ let doc ~smoke ~label ~prev ms =
       ("trend", Json.List (carried @ [ entry ]));
     ]
 
+(** Check that [j] has the shape {!doc} writes: a known engine, a
+    numeric [score_total], a non-empty [kernels] array of named integer
+    scores and a non-empty [trend]. The check [sgxbounds_cli
+    validate-bench] runs on a JSON file. *)
+let validate j =
+  let ( let* ) = Result.bind in
+  let* () =
+    match Json.member "bench" j with
+    | Some (Json.Str "score") -> Ok ()
+    | Some (Json.Str b) -> Error (Printf.sprintf "unknown bench kind %S" b)
+    | _ -> Error "not a `bench score' document (no \"bench\": \"score\")"
+  in
+  let* () =
+    match Json.member "engine" j with
+    | Some (Json.Str e) when Fastpath.kind_of_string e <> None -> Ok ()
+    | Some (Json.Str e) -> Error (Printf.sprintf "unknown engine %S (expected naive or fast)" e)
+    | _ -> Error "missing string key \"engine\""
+  in
+  let* () =
+    match Json.member "score_total" j with
+    | Some (Json.Int _ | Json.Float _) -> Ok ()
+    | _ -> Error "missing numeric key \"score_total\""
+  in
+  let* () =
+    match Json.member "kernels" j with
+    | Some (Json.List (_ :: _ as ks)) ->
+      if
+        List.for_all
+          (fun k ->
+             match (Json.member "kernel" k, Json.member "score" k) with
+             | Some (Json.Str _), Some (Json.Int _) -> true
+             | _ -> false)
+          ks
+      then Ok ()
+      else Error "malformed kernel entry"
+    | _ -> Error "missing or empty \"kernels\" array"
+  in
+  match Json.member "trend" j with
+  | Some (Json.List (_ :: _)) -> Ok ()
+  | _ -> Error "missing or empty \"trend\" array"
+
 (* ---------- the gate ---------- *)
 
 type verdict = {

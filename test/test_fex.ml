@@ -78,6 +78,11 @@ let test_write_results () =
   Alcotest.(check bool) "header present" true
     (String.length header > 0 && String.sub header 0 8 = "workload")
 
+let test_jobs_invariant () =
+  let e = small_exp () in
+  let rows jobs = Fex.normalize e (Fex.run ~jobs e) in
+  Alcotest.(check bool) "rows at jobs 1 = rows at jobs 2" true (rows 1 = rows 2)
+
 let suite =
   [
     Alcotest.test_case "matrix is cartesian" `Quick test_matrix_cartesian;
@@ -86,5 +91,6 @@ let suite =
     Alcotest.test_case "crashes become dashes" `Quick test_crash_becomes_dash;
     Alcotest.test_case "gmeans" `Quick test_gmeans;
     Alcotest.test_case "determinism check" `Quick test_determinism_check;
+    Alcotest.test_case "rows identical under --jobs 1 and 2" `Quick test_jobs_invariant;
     Alcotest.test_case "write tsv + gnuplot" `Quick test_write_results;
   ]

@@ -22,6 +22,7 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("service", Test_service.suite);
       ("fex", Test_fex.suite);
+      ("tsv", Test_tsv.suite);
       ("narrowing", Test_narrowing.suite);
       ("differential", Test_differential.suite);
       ("fastpath", Test_fastpath.suite);

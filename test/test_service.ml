@@ -11,6 +11,7 @@ module Latency = Sb_service.Latency
 module Service = Sb_service.Service
 module Drivers = Sb_service.Drivers
 module Experiment = Sb_service.Experiment
+module Tsv = Sb_telemetry.Tsv
 
 (* ---------- load generation ---------- *)
 
@@ -169,17 +170,19 @@ let http_capacity =
 
 let test_capacity_positive () = ignore (Lazy.force http_capacity : float)
 
+let tsv_line p = Tsv.line Experiment.tsv_schema (Experiment.tsv_row p)
+
 let test_run_deterministic () =
   let c = cell 40_000. in
-  let l1 = Experiment.tsv_line (Experiment.run_cell c) in
-  let l2 = Experiment.tsv_line (Experiment.run_cell c) in
+  let l1 = tsv_line (Experiment.run_cell c) in
+  let l2 = tsv_line (Experiment.run_cell c) in
   Alcotest.(check string) "identical reruns" l1 l2
 
 let test_engines_agree () =
   (* whole cells (machine creation included) under each memory engine *)
   let c = cell ~app:Drivers.Memcached ~requests:80 60_000. in
   let line kind =
-    Fastpath.with_kind kind (fun () -> Experiment.tsv_line (Experiment.run_cell c))
+    Fastpath.with_kind kind (fun () -> tsv_line (Experiment.run_cell c))
   in
   let fast = line Fastpath.Fast and naive = line Fastpath.Naive in
   Alcotest.(check string) "fast engine = naive engine" fast naive
@@ -188,7 +191,7 @@ let test_jobs_invariance () =
   let cells =
     [ cell 30_000.; cell ~scheme:"asan" 30_000.; cell ~app:Drivers.Sqlite 30_000. ]
   in
-  let lines jobs = List.map Experiment.tsv_line (Experiment.sweep ~jobs cells) in
+  let lines jobs = List.map tsv_line (Experiment.sweep ~jobs cells) in
   Alcotest.(check (list string)) "one domain = two domains" (lines 1) (lines 2)
 
 let test_underload_completes_everything () =
@@ -259,9 +262,9 @@ let test_driver_names () =
 
 let test_tsv_format () =
   let p = Experiment.run_cell (cell ~requests:30 50_000.) in
-  let line = Experiment.tsv_line p in
+  let line = tsv_line p in
   let ncols s = List.length (String.split_on_char '\t' s) in
-  Alcotest.(check int) "line matches the header" (ncols Experiment.tsv_header)
+  Alcotest.(check int) "line matches the header" (ncols (Tsv.header Experiment.tsv_schema))
     (ncols line);
   Alcotest.(check bool) "status column says ok" true
     (match List.rev (String.split_on_char '\t' line) with
