@@ -120,7 +120,8 @@ fi
 
 echo "== CLI smoke: serve --fleet (underload, overload shed, failover)"
 # underloaded fleet: everything completes; per-instance spans re-add to
-# the merged counters and each span decomposes into wait + exec
+# the merged counters, each span decomposes into wait + exec, and its
+# class cycles sum to its exec window
 fleet_out=$("$CLI" serve --scheme sgxbounds --rate 300000 --fleet 3 --policy hash \
   --ycsb A --records 1024 --requests 400 --workers 2 --seed 1 --json)
 if command -v jq >/dev/null 2>&1; then
@@ -128,6 +129,7 @@ if command -v jq >/dev/null 2>&1; then
   echo "$fleet_out" | jq -e '([.instances[].completed] | add) == .completed' >/dev/null
   echo "$fleet_out" | jq -e '[.instances[] | .spans.recorded == .completed] | all' >/dev/null
   echo "$fleet_out" | jq -e '[.instances[].spans.slowest[] | .sojourn == .queue_wait + .exec] | all' >/dev/null
+  echo "$fleet_out" | jq -e '[.instances[].spans.slowest[] | .exec == ([.classes[]] | add)] | all' >/dev/null
   echo "$fleet_out" | jq -e '.latency_cycles.p50 <= .latency_cycles.p99' >/dev/null
 else
   echo "$fleet_out" | grep -q '"completed"'
@@ -155,6 +157,7 @@ if command -v jq >/dev/null 2>&1; then
   echo "$fleet_kill" | jq -e '.lost + .failed_over > 0' >/dev/null
   echo "$fleet_kill" | jq -e '.completed + .dropped + .lost == .offered' >/dev/null
   echo "$fleet_kill" | jq -e '[.instances[] | .spans.recorded == .completed] | all' >/dev/null
+  echo "$fleet_kill" | jq -e '[.instances[].spans.slowest[] | .exec == ([.classes[]] | add)] | all' >/dev/null
 fi
 test "$fleet_kill" = "$(fleet_kill_cmd)"
 

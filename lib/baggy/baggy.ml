@@ -66,7 +66,9 @@ let make ?(region_bytes = 8 * 1024 * 1024) ms : Scheme.t =
              reason = "no allocation covers this address" })
     else begin
       let size = 1 lsl order in
-      let base = p.v land lnot (size - 1) in
+      (* Blocks are size-aligned relative to the buddy region, whose
+         base is only page-aligned: mask the offset, not the address. *)
+      let base = heap_base + ((p.v - heap_base) land lnot (size - 1)) in
       if p.v + width > base + size then
         raise
           (Violation

@@ -294,13 +294,6 @@ let build (cfg : config) ring idx ~seed =
   in
   (ms, serve)
 
-let install_spans_hook inst =
-  match inst.spans with
-  | Some log ->
-    Memsys.set_charge_hook inst.ms
-      (Some (Spans.charge_hook log (fun () -> Memsys.current_thread inst.ms)))
-  | None -> ()
-
 (* ---------- the discrete-event drive loop ---------- *)
 
 (** Serve everything this instance can start at or before [t]: pop the
@@ -329,7 +322,7 @@ let advance_inst inst ops arrivals ~t ~on_fin =
         Memsys.set_thread inst.ms w;
         Memsys.set_clock inst.ms w start;
         (match inst.spans with
-         | Some log -> Spans.begin_exec log ~worker:w
+         | Some log -> Spans.begin_exec log inst.ms ~worker:w
          | None -> ());
         inst.serve ~worker:w ops.(id);
         let fin = Memsys.get_clock inst.ms w in
@@ -340,7 +333,7 @@ let advance_inst inst ops arrivals ~t ~on_fin =
           Histogram.observe inst.queue_wait (start - arrivals.(id));
           (match inst.spans with
            | Some log ->
-             Spans.finish log ~id ~worker:w ~arrival:arrivals.(id) ~dequeue:start
+             Spans.finish log inst.ms ~id ~worker:w ~arrival:arrivals.(id) ~dequeue:start
                ~fin
            | None -> ());
           on_fin fin
@@ -349,7 +342,7 @@ let advance_inst inst ops arrivals ~t ~on_fin =
           (* the enclave dies with this request on the worker *)
           inst.lost <- inst.lost + 1;
           match inst.spans with
-          | Some log -> Spans.abort log ~worker:w
+          | Some log -> Spans.abort log inst.ms ~worker:w
           | None -> ()
         end
       end
@@ -391,32 +384,28 @@ let run ?spans (cfg : config) =
         Array.init cfg.instances (fun idx ->
             let ms, serve = build cfg ring idx ~seed:(inst_seed cfg idx 0) in
             machines := ms :: !machines;
-            let inst =
-              {
-                idx;
-                ms;
-                serve;
-                queue = Queue.create ();
-                free_at = Array.make cfg.workers 0;
-                down_until = 0;
-                pending_kills =
-                  List.filter_map
-                    (fun (at, i) -> if i = idx then Some at else None)
-                    kills;
-                completed = 0;
-                lost = 0;
-                restarts = 0;
-                max_queue = 0;
-                latency = Histogram.create (Printf.sprintf "fleet.%d.latency" idx);
-                queue_wait =
-                  Histogram.create (Printf.sprintf "fleet.%d.queue_wait" idx);
-                spans =
-                  Option.map (fun cap -> Spans.create ~cap ~workers:cfg.workers ())
-                    spans;
-              }
-            in
-            install_spans_hook inst;
-            inst)
+            {
+              idx;
+              ms;
+              serve;
+              queue = Queue.create ();
+              free_at = Array.make cfg.workers 0;
+              down_until = 0;
+              pending_kills =
+                List.filter_map
+                  (fun (at, i) -> if i = idx then Some at else None)
+                  kills;
+              completed = 0;
+              lost = 0;
+              restarts = 0;
+              max_queue = 0;
+              latency = Histogram.create (Printf.sprintf "fleet.%d.latency" idx);
+              queue_wait =
+                Histogram.create (Printf.sprintf "fleet.%d.queue_wait" idx);
+              spans =
+                Option.map (fun cap -> Spans.create ~cap ~workers:cfg.workers ())
+                  spans;
+            })
       in
       let dropped = ref 0 and failed_over = ref 0 and last_fin = ref 0 in
       let rr = ref 0 in
@@ -508,7 +497,6 @@ let run ?spans (cfg : config) =
         let ready = at + Memsys.get_clock ms 0 in
         inst.ms <- ms;
         inst.serve <- serve;
-        install_spans_hook inst;
         Array.fill inst.free_at 0 cfg.workers ready;
         inst.down_until <- ready;
         (* the queued requests fail over through the balancer *)

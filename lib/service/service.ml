@@ -71,7 +71,7 @@ let summary st = Latency.summary st.latency
 
     With [trace], every served request is recorded as a {!Spans.span}
     (arrival → dequeue → completion, exec-window cycles split by memsys
-    class via the machine's charge hook) into the caller's log; the
+    class from the worker's {!Memsys.thread_cycles}) into the caller's log; the
     slowest-K reservoir survives the run for export. Tracing only
     observes: simulated stats are identical with and without it. *)
 let run ?trace ms cfg handler =
@@ -115,13 +115,13 @@ let run ?trace ms cfg handler =
       | Some (id, arrived) ->
         Histogram.observe queue_wait (now - arrived);
         (match trace with
-         | Some log -> Spans.begin_exec log ~worker:w
+         | Some log -> Spans.begin_exec log ms ~worker:w
          | None -> ());
         handler ~worker:w;
         let fin = Memsys.get_clock ms (Memsys.current_thread ms) in
         Histogram.observe latency (fin - arrived);
         (match trace with
-         | Some log -> Spans.finish log ~id ~worker:w ~arrival:arrived ~dequeue:now ~fin
+         | Some log -> Spans.finish log ms ~id ~worker:w ~arrival:arrived ~dequeue:now ~fin
          | None -> ());
         incr completed;
         Telemetry.incr tel "service.completed";
@@ -139,15 +139,7 @@ let run ?trace ms cfg handler =
     in
     loop ()
   in
-  (match trace with
-   | Some log ->
-     Memsys.set_charge_hook ms
-       (Some (Spans.charge_hook log (fun () -> Memsys.current_thread ms)))
-   | None -> ());
   Mt.run ms (Array.init cfg.workers (fun w -> worker w));
-  (match trace with
-   | Some _ -> Memsys.set_charge_hook ms None
-   | None -> ());
   (* Mt.run leaves thread 0 at the max clock over the region *)
   let elapsed = Memsys.get_clock ms 0 - base in
   {

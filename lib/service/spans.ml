@@ -11,10 +11,11 @@
     of memory engine and host parallelism, like the service layer
     itself.
 
-    Class cycles are fed by the machine's charge hook
-    ({!Sb_sgx.Memsys.set_charge_hook}) while a request is executing on a
-    worker; charges outside any request window (idle, admission) land in
-    no span. *)
+    Class cycles are read from the machine: the worker's row of
+    {!Sb_sgx.Memsys.thread_cycles} is taken at dequeue and again when the
+    handler returns, and the span keeps the difference. Charges outside
+    any request window (idle, admission) land in no span, and observing
+    costs nothing per charge. *)
 
 module Memsys = Sb_sgx.Memsys
 module Events = Sb_telemetry.Events
@@ -37,9 +38,10 @@ type log = {
   cap : int;
   buckets : string array;
   mutable reservoir : span list;   (* unsorted, <= cap *)
+  mutable least : span option;     (* the reservoir's minimum once it is full *)
   mutable recorded : int;          (* spans offered to the reservoir *)
   totals : int array;              (* exec-window cycles per bucket, all requests *)
-  cur : int array option array;    (* per-worker open accumulator *)
+  cur : int array option array;    (* per-worker row at dequeue *)
 }
 
 let create ?(cap = 8) ~workers () =
@@ -49,61 +51,68 @@ let create ?(cap = 8) ~workers () =
     cap;
     buckets = Memsys.profile_buckets;
     reservoir = [];
+    least = None;
     recorded = 0;
     totals = Array.make n 0;
     cur = Array.make (max 1 workers) None;
   }
 
-(** The charge hook to install on the machine for the run: routes every
-    charge into the worker's open span (if any). [tid] must report the
-    machine's current simulated thread = the worker index. *)
-let charge_hook log tid =
-  fun bucket cost ->
-    match log.cur.(tid ()) with
-    | Some arr ->
-      arr.(bucket) <- arr.(bucket) + cost;
-      log.totals.(bucket) <- log.totals.(bucket) + cost
-    | None -> ()
+(** Open the worker's execution window. The worker runs as simulated
+    thread [worker] of [ms]. *)
+let begin_exec log ms ~worker = log.cur.(worker) <- Some (Memsys.thread_cycles ms worker)
 
-let begin_exec log ~worker =
-  log.cur.(worker) <- Some (Array.make (Array.length log.buckets) 0)
-
-(** Drop the worker's open accumulator without recording a span — the
-    request died with its enclave (fleet instance kill) and must not
-    count toward [recorded]. Charges already routed to [totals] stay:
-    the machine really spent them. *)
-let abort log ~worker = log.cur.(worker) <- None
-
-(* Reservoir admission key: lexicographic (sojourn, id). Unique ids make
-   it a total order, so "keep the cap largest" has exactly one answer. *)
-let key sp = (sojourn sp, sp.sp_id)
-
-let finish log ~id ~worker ~arrival ~dequeue ~fin =
-  let classes =
-    match log.cur.(worker) with
-    | Some a -> a
-    | None -> Array.make (Array.length log.buckets) 0
-  in
+(* Close the worker's window: its per-bucket cycles since [begin_exec],
+   also added to [totals]. *)
+let close log ms ~worker =
+  let now = Memsys.thread_cycles ms worker in
+  (match log.cur.(worker) with
+   | Some start ->
+     for i = 0 to Array.length now - 1 do
+       now.(i) <- now.(i) - start.(i);
+       log.totals.(i) <- log.totals.(i) + now.(i)
+     done
+   | None -> Array.fill now 0 (Array.length now) 0);
   log.cur.(worker) <- None;
+  now
+
+(** Close the worker's window without recording a span — the request
+    died with its enclave (fleet instance kill) and must not count
+    toward [recorded]. Its cycles still go to [totals]: the machine
+    really spent them. *)
+let abort log ms ~worker = ignore (close log ms ~worker)
+
+(* Reservoir admission order: lexicographic (sojourn, id). Unique ids
+   make it a total order, so "keep the cap largest" has exactly one
+   answer. *)
+let slower a b =
+  let sa = sojourn a and sb = sojourn b in
+  sa > sb || (sa = sb && a.sp_id > b.sp_id)
+
+let least_of = function
+  | [] -> None
+  | s :: rest -> Some (List.fold_left (fun m s -> if slower m s then s else m) s rest)
+
+let finish log ms ~id ~worker ~arrival ~dequeue ~fin =
+  let classes = close log ms ~worker in
   let sp =
     { sp_id = id; sp_worker = worker; sp_arrival = arrival; sp_dequeue = dequeue;
       sp_fin = fin; sp_classes = classes }
   in
   log.recorded <- log.recorded + 1;
-  if List.length log.reservoir < log.cap then log.reservoir <- sp :: log.reservoir
-  else begin
-    let mn =
-      List.fold_left (fun m s -> if key s < key m then s else m)
-        (List.hd log.reservoir) (List.tl log.reservoir)
-    in
-    if key sp > key mn then
-      log.reservoir <- sp :: List.filter (fun s -> s != mn) log.reservoir
-  end
+  match log.least with
+  | None ->
+    log.reservoir <- sp :: log.reservoir;
+    if List.length log.reservoir = log.cap then log.least <- least_of log.reservoir
+  | Some mn ->
+    if slower sp mn then begin
+      log.reservoir <- sp :: List.filter (fun s -> s != mn) log.reservoir;
+      log.least <- least_of log.reservoir
+    end
 
 (** Retained exemplars, slowest first (ties by id descending — the
     reverse of the admission order, also total). *)
 let slowest log =
-  List.sort (fun a b -> compare (key b) (key a)) log.reservoir
+  List.sort (fun a b -> if slower a b then -1 else if slower b a then 1 else 0) log.reservoir
 
 let recorded log = log.recorded
 let totals log = Array.copy log.totals

@@ -2,6 +2,7 @@ module Config = Sb_machine.Config
 module Vmem = Sb_vmem.Vmem
 module Hierarchy = Sb_cache.Hierarchy
 module Telemetry = Sb_telemetry.Telemetry
+module Histogram = Sb_telemetry.Metrics.Histogram
 
 type access_class =
   | Data
@@ -54,17 +55,20 @@ type t = {
   mutable instrs : int;
   mutable mem_accesses : int;
   (* Cycle attribution: every cycle that enters [clocks] is also charged
-     to exactly one bucket — a memory access class or [compute_cycles] —
-     so the per-class breakdown always re-adds to the total (per
-     thread; a parallel region's elapsed time is the max, not the sum). *)
+     to exactly one bucket of the charging thread's row — a memory access
+     class, or [n_classes] for unclassed compute — so the per-class
+     breakdown always re-adds to the total (per thread; a parallel
+     region's elapsed time is the max, not the sum). [cycles] holds
+     [max_threads] rows of [n_classes + 1] buckets; [row] is the current
+     thread's offset, so a charge is one add at [row + bucket]. A
+     thread's row is a pure function of the machine, which is what
+     request spans read ({!thread_cycles}). *)
   cls_accesses : int array;
-  cls_cycles : int array;
-  mutable compute_cycles : int;
-  (* Telemetry hook, hoisted out of [charge_access]: the branch on
-     whether histograms exist is taken once at [create] time and baked
-     into this closure — a statically allocated no-op when telemetry is
-     off, a pre-resolved per-class observation when it is on. *)
-  observe : int -> int -> unit;
+  cycles : int array;
+  mutable row : int;
+  (* [access_cycles:<class>] histograms, indexed by class; empty when
+     telemetry is off. *)
+  hists : Histogram.t array;
   mutable yield_countdown : int;
   line_mask : int;
   dram_cost : int;          (* cost of a DRAM access in the current env *)
@@ -80,10 +84,10 @@ type t = {
      outcomes without a cross-module [Hierarchy.hit_cost] call. *)
   l2_cost : int;
   llc_cost : int;
-  (* Whether [observe] does anything — guards the indirect call. *)
+  (* Whether [hists] exist — guards the per-charge observation. *)
   observing : bool;
   fast : bool;
-  (* Fast engine, telemetry off: same-line streak accumulator. While
+  (* Fast engine: same-line streak accumulator. While
      consecutive single-line accesses stay on [last_line] with the same
      class, each has the identical effect (one L1 hit, [l1_cost] cycles
      to the same buckets), so only a count is kept and the batch is
@@ -92,8 +96,9 @@ type t = {
      every read point. The yield countdown is still maintained per
      access, and the batch is flushed before a yield is performed, so
      cooperative scheduling (and every clock a scheduler could read) is
-     bit-for-bit unchanged. Disabled under telemetry, which must observe
-     each access individually. *)
+     bit-for-bit unchanged. The flush hands a batch to the telemetry
+     histograms in one bulk observation, and the telemetry clock flushes
+     before it is read, so observed runs batch too. *)
   mutable pend_k : int;
   mutable pend_ci : int;
   (* Disabled (false) while a profiler is attached: the profiler needs
@@ -105,12 +110,20 @@ type t = {
   (* Site-attributed profiling hook ({!attach_profiler}): called with
      (bucket, cost) for every charge — bucket is the access class index,
      or [n_classes] for unclassed compute. One predicted branch when
-     detached. *)
+     detached. The profiler is the only per-charge observer. *)
   mutable profiling : bool;
   mutable prof : int -> int -> unit;
 }
 
 let yield_quantum = 32
+let row_len = n_classes + 1
+
+(* Charge [c] cycles to bucket [b] of the current thread's row. The
+   index is in bounds because [set_thread] admits only thread ids below
+   [max_threads], so the hot path skips the bounds check. *)
+let add_cycles t b c =
+  let i = t.row + b in
+  Array.unsafe_set t.cycles i (Array.unsafe_get t.cycles i + c)
 
 (* ---------- cost model ---------- *)
 
@@ -146,8 +159,9 @@ let flush_pending t =
     t.mem_accesses <- t.mem_accesses + k;
     t.cls_accesses.(ci) <- t.cls_accesses.(ci) + k;
     let c = k * t.l1_cost in
-    t.cls_cycles.(ci) <- t.cls_cycles.(ci) + c;
+    add_cycles t ci c;
     t.clocks.(t.tid) <- t.clocks.(t.tid) + c;
+    if t.observing then Histogram.observe_n t.hists.(ci) t.l1_cost k;
     Hierarchy.count_l1_mru_hits t.hier k
   end
 
@@ -169,17 +183,13 @@ let create ?tel (cfg : Config.t) =
     | Config.Inside_enclave -> cfg.costs.dram * (100 + cfg.costs.mee_percent) / 100
     | Config.Outside_enclave -> cfg.costs.dram
   in
-  let observe =
-    if Telemetry.is_enabled tel then begin
-      let hists =
-        Array.of_list
-          (List.map
-             (fun c -> Telemetry.histogram tel ("access_cycles:" ^ class_name c))
-             all_classes)
-      in
-      fun ci cost -> Sb_telemetry.Metrics.Histogram.observe hists.(ci) cost
-    end
-    else fun _ _ -> ()
+  let hists =
+    if Telemetry.is_enabled tel then
+      Array.of_list
+        (List.map
+           (fun c -> Telemetry.histogram tel ("access_cycles:" ^ class_name c))
+           all_classes)
+    else [||]
   in
   let hier = Hierarchy.create cfg in
   let t =
@@ -194,9 +204,9 @@ let create ?tel (cfg : Config.t) =
       instrs = 0;
       mem_accesses = 0;
       cls_accesses = Array.make n_classes 0;
-      cls_cycles = Array.make n_classes 0;
-      compute_cycles = 0;
-      observe;
+      cycles = Array.make (cfg.max_threads * row_len) 0;
+      row = 0;
+      hists;
       yield_countdown = yield_quantum;
       line_mask = lnot (cfg.line_size - 1);
       dram_cost;
@@ -208,12 +218,15 @@ let create ?tel (cfg : Config.t) =
       fast;
       pend_k = 0;
       pend_ci = 0;
-      batch = fast && not (Telemetry.is_enabled tel);
+      batch = fast;
       profiling = false;
       prof = (fun _ _ -> ());
     }
   in
-  Telemetry.set_clock tel (fun () -> t.clocks.(t.tid));
+  (* Flush first so a timestamp includes the pending same-line batch. *)
+  Telemetry.set_clock tel (fun () ->
+      flush_pending t;
+      t.clocks.(t.tid));
   Telemetry.set_tid tel (fun () -> t.tid);
   (match epc with
    | Some e when Telemetry.is_enabled tel ->
@@ -237,9 +250,9 @@ let telemetry t = t.tel
 
 let charge_access t ci cost =
   t.cls_accesses.(ci) <- t.cls_accesses.(ci) + 1;
-  t.cls_cycles.(ci) <- t.cls_cycles.(ci) + cost;
+  add_cycles t ci cost;
   t.clocks.(t.tid) <- t.clocks.(t.tid) + cost;
-  if t.observing then t.observe ci cost;
+  if t.observing then Histogram.observe t.hists.(ci) cost;
   if t.profiling then t.prof ci cost;
   maybe_yield t
 
@@ -325,19 +338,16 @@ let fill ?cls t ~addr ~len ~byte =
 let charge_alu ?cls t n =
   t.instrs <- t.instrs + n;
   let c = n * t.cfg.costs.alu in
-  (match cls with
-   | None ->
-     t.compute_cycles <- t.compute_cycles + c;
-     if t.profiling then t.prof n_classes c
-   | Some cl ->
-     let ci = class_index cl in
-     t.cls_cycles.(ci) <- t.cls_cycles.(ci) + c;
-     if t.profiling then t.prof ci c);
+  let b = match cls with None -> n_classes | Some cl -> class_index cl in
+  add_cycles t b c;
+  if t.profiling then t.prof b c;
   t.clocks.(t.tid) <- t.clocks.(t.tid) + c
 
 let set_thread t tid =
+  if tid < 0 || tid >= t.cfg.max_threads then invalid_arg "Memsys.set_thread: no such thread";
   flush_pending t;
-  t.tid <- tid
+  t.tid <- tid;
+  t.row <- tid * row_len
 
 let current_thread t = t.tid
 
@@ -363,19 +373,31 @@ let snapshot t =
     epc_faults = (match t.epc with None -> 0 | Some e -> Epc.faults e);
   }
 
+(* Bucket [b] summed over every thread's row. *)
+let bucket_cycles t b =
+  let s = ref 0 in
+  for tid = 0 to t.cfg.max_threads - 1 do
+    s := !s + t.cycles.((tid * row_len) + b)
+  done;
+  !s
+
 let attribution t =
   flush_pending t;
   List.map
     (fun c ->
        let i = class_index c in
-       (c, { accesses = t.cls_accesses.(i); cycles = t.cls_cycles.(i) }))
+       (c, { accesses = t.cls_accesses.(i); cycles = bucket_cycles t i }))
     all_classes
 
-let compute_cycles t = t.compute_cycles
+let compute_cycles t = bucket_cycles t n_classes
 
 let attributed_cycles t =
   flush_pending t;
-  Array.fold_left ( + ) t.compute_cycles t.cls_cycles
+  Array.fold_left ( + ) 0 t.cycles
+
+let thread_cycles t tid =
+  flush_pending t;
+  Array.sub t.cycles (tid * row_len) row_len
 
 let cache_stats t =
   flush_pending t;
@@ -390,11 +412,11 @@ let reset t =
   t.yield_countdown <- yield_quantum;
   Array.fill t.clocks 0 (Array.length t.clocks) 0;
   t.tid <- 0;
+  t.row <- 0;
   t.instrs <- 0;
   t.mem_accesses <- 0;
   Array.fill t.cls_accesses 0 n_classes 0;
-  Array.fill t.cls_cycles 0 n_classes 0;
-  t.compute_cycles <- 0;
+  Array.fill t.cycles 0 (Array.length t.cycles) 0;
   t.last_line <- -1;
   Hierarchy.flush t.hier;
   Hierarchy.reset_stats t.hier;
@@ -412,26 +434,21 @@ module Profile = Sb_telemetry.Profile
 let profile_buckets =
   Array.of_list (List.map class_name all_classes @ [ "compute" ])
 
-let set_charge_hook t hook =
-  flush_pending t;
-  match hook with
-  | Some h ->
-    t.prof <- h;
-    t.profiling <- true;
-    t.batch <- false
-  | None ->
-    t.profiling <- false;
-    t.prof <- (fun _ _ -> ());
-    t.batch <- t.fast && not (Telemetry.is_enabled t.tel)
-
 let attach_profiler t p =
   if Array.length (Profile.bucket_names p) <> n_classes + 1 then
     invalid_arg "Memsys.attach_profiler: profiler buckets must be profile_buckets";
   Profile.ensure_threads p t.cfg.Config.max_threads;
   Profile.set_tid p (fun () -> t.tid);
-  set_charge_hook t (Some (Profile.charge p))
+  flush_pending t;
+  t.prof <- Profile.charge p;
+  t.profiling <- true;
+  t.batch <- false
 
-let detach_profiler t = set_charge_hook t None
+let detach_profiler t =
+  flush_pending t;
+  t.profiling <- false;
+  t.prof <- (fun _ _ -> ());
+  t.batch <- t.fast
 
 let retire t =
   (match t.epc with None -> () | Some e -> Epc.retire e);

@@ -95,6 +95,8 @@ val charge_alu : ?cls:access_class -> t -> int -> unit
 
 (** {2 Thread clocks} *)
 
+(** Make [tid] the thread that later charges go to. Raises
+    [Invalid_argument] unless [0 <= tid < Config.max_threads]. *)
 val set_thread : t -> int -> unit
 val current_thread : t -> int
 val get_clock : t -> int -> int
@@ -114,6 +116,14 @@ val compute_cycles : t -> int
 (** Total cycles charged to any bucket: class cycles + compute. Equal to
     [snapshot.cycles] for single-threaded runs. *)
 val attributed_cycles : t -> int
+
+(** [thread_cycles ms tid] — the cycles simulated thread [tid] has
+    charged to each bucket since the last {!reset}, indexed like
+    {!profile_buckets} (a fresh copy, pending same-line batch included).
+    Summed over threads, the rows give {!attribution}'s class cycles and
+    {!compute_cycles}. Request spans take the difference of a worker's
+    row across its execution window. *)
+val thread_cycles : t -> int -> int array
 
 (** Per-level cache hit/miss counters ([("L1", _); ("L2", _); ("LLC", _)]). *)
 val cache_stats : t -> (string * Sb_cache.Hierarchy.level_stats) list
@@ -140,17 +150,14 @@ val llc_misses : t -> int
     unclassed ALU work. Attaching disables the fast engine's same-line
     batching (stats-invariant — simulated metrics are bit-identical) so
     charges land at the site where they happen; detaching restores it.
-    Detached cost is one predicted branch per charge. *)
+    The profiler is the only per-charge observer and the only thing that
+    turns batching off: telemetry histograms take a batch in one bulk
+    observation, and request spans read {!thread_cycles}. Detached cost
+    is one predicted branch per charge. *)
 
 (** Bucket labels a profiler for this machine must be created with:
     class names in [all_classes] order, then ["compute"]. *)
 val profile_buckets : string array
-
-(** Install (or remove, with [None]) the raw charge hook: called with
-    (bucket, cost) for every charge, bucket indexing {!profile_buckets}.
-    {!attach_profiler} and the service layer's request spans are built
-    on this. The hook must only observe. *)
-val set_charge_hook : t -> (int -> int -> unit) option -> unit
 
 (** Point the machine's charge stream and the profiler's thread-id
     closure at each other. Raises [Invalid_argument] if the profiler's

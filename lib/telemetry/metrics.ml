@@ -47,6 +47,17 @@ module Histogram = struct
     t.sum <- t.sum + v;
     if v > t.max then t.max <- v
 
+  (** [n] observations of [v] at once: the same state as [n] calls of
+      {!observe}. *)
+  let observe_n t v n =
+    if n > 0 then begin
+      let v = max 0 v in
+      t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + n;
+      t.count <- t.count + n;
+      t.sum <- t.sum + (n * v);
+      if v > t.max then t.max <- v
+    end
+
   let name t = t.name
   let count t = t.count
   let sum t = t.sum

@@ -38,6 +38,17 @@ let test_bounds_derived_from_interior_pointer () =
   check_detects "interior pointer bounded" (fun () ->
       ignore (s.Scheme.load (s.Scheme.offset q 32) 4))
 
+let test_large_block_bounds () =
+  (* An 80 KiB object takes a 128 KiB buddy block, which is aligned to
+     its size within the buddy region but not in the address space. *)
+  let _, s = fresh baggy in
+  ignore (s.Scheme.malloc 64);
+  let p = s.Scheme.malloc (80 * 1024) in
+  check_allows "full-range read of the object" (fun () ->
+      s.Scheme.libc_check p (80 * 1024) Read);
+  check_detects "read straddling the end of the 128 KiB block" (fun () ->
+      ignore (s.Scheme.load (s.Scheme.offset p ((128 * 1024) - 4)) 8))
+
 let prop_slop_never_flagged_inside_block =
   QCheck.Test.make ~name:"baggy: accesses inside the pow2 block pass" ~count:100
     QCheck.(pair (int_range 1 200) (int_range 0 255))
@@ -57,5 +68,7 @@ let suite =
     Alcotest.test_case "exact pow2 off-by-one detected" `Quick test_exact_pow2_detected;
     Alcotest.test_case "freed block access detected" `Quick test_free_space_access_detected;
     Alcotest.test_case "interior pointers derive bounds" `Quick test_bounds_derived_from_interior_pointer;
+    Alcotest.test_case "objects over 64 KiB keep their block bounds" `Quick
+      test_large_block_bounds;
     qtest prop_slop_never_flagged_inside_block;
   ]

@@ -303,11 +303,69 @@ let pattern_kernel ?tel () =
 
 let test_patterns () = check_kernel "patterns" pattern_kernel
 
-(* With an enabled telemetry hub every access is observed on its own,
-   so the fast engine stops batching; the results must not move. *)
+(* With an enabled telemetry hub the fast engine still batches, and
+   hands each batch to the histograms in one bulk observation; the
+   results must not move. *)
 let test_telemetry () =
   check_kernel "patterns+telemetry" (fun () ->
       pattern_kernel ~tel:(Sb_telemetry.Telemetry.create ~enabled:true ()) ())
+
+(* What an enabled hub records while the fast engine batches: every
+   [access_cycles:*] histogram (count, sum, max, buckets) and every event
+   (phase spans opened and closed right after same-line streaks, EPC
+   faults under a thrashing EPC), read with a streak still pending. *)
+let telemetry_kernel () =
+  let module Telemetry = Sb_telemetry.Telemetry in
+  let module Histogram = Sb_telemetry.Metrics.Histogram in
+  let tel = Telemetry.create () in
+  let ms = Memsys.create ~tel (Config.default ~epc_bytes:(16 * 4096) ()) in
+  let a = Vmem.map (Memsys.vmem ms) ~len:(48 * 4096) ~perm:Vmem.Read_write () in
+  let streak ?cls addr n =
+    for _ = 1 to n do
+      Memsys.touch ?cls ms ~addr ~width:8
+    done
+  in
+  Telemetry.with_span tel "hammer" (fun () ->
+      for k = 0 to 47 do
+        streak (a + (k * 4096)) 40;
+        streak ~cls:Memsys.Footer_meta (a + (k * 4096) + 8) 9;
+        Telemetry.with_span tel "page" (fun () -> streak (a + (k * 4096) + 64) 13)
+      done);
+  Telemetry.span_begin tel "tail";
+  streak (a + 128) 21;
+  Telemetry.span_end tel;
+  streak (a + 192) 17;
+  let hists =
+    List.map
+      (fun (name, h) ->
+         ( name,
+           (Histogram.count h, Histogram.sum h, Histogram.max_value h),
+           Histogram.nonzero_buckets h ))
+      (Telemetry.histograms tel)
+  in
+  let events =
+    List.map
+      (fun (e : Sb_telemetry.Events.event) ->
+         ( e.Sb_telemetry.Events.name,
+           e.Sb_telemetry.Events.ts,
+           match e.Sb_telemetry.Events.ph with
+           | Sb_telemetry.Events.Complete d -> d
+           | _ -> -1 ))
+      (Telemetry.events tel)
+  in
+  Memsys.retire ms;
+  (hists, events)
+
+let test_telemetry_batched () =
+  let (fh, fe), (nh, ne) = both telemetry_kernel in
+  Alcotest.(check bool) "access_cycles histograms recorded" true
+    (List.exists (fun (_, (count, _, _), _) -> count > 0) nh);
+  Alcotest.(check bool) "EPC and phase events recorded" true (List.length ne > 48);
+  Alcotest.(check
+              (list
+                 (triple string (triple int int int) (list (triple int int int)))))
+    "histograms" nh fh;
+  Alcotest.(check (list (triple string int int))) "events (name, ts, dur)" ne fe
 
 (* Unmap and protect in the middle of a scan: the address-space change
    must not disturb the accounting already batched, and a store fault
@@ -602,6 +660,8 @@ let suite =
       test_memsys_kernel;
     Alcotest.test_case "fast = naive: stride patterns, breaks, probes" `Quick test_patterns;
     Alcotest.test_case "fast = naive: telemetry hub enabled" `Quick test_telemetry;
+    Alcotest.test_case "fast = naive: histograms and span timestamps under batching"
+      `Quick test_telemetry_batched;
     Alcotest.test_case "fast = naive: unmap/protect mid-stream" `Quick test_remap;
     Alcotest.test_case "fast = naive: free/realloc through a scheme" `Quick test_alloc;
     Alcotest.test_case "fast = naive: thread switch mid-streak" `Quick test_thread_switch;

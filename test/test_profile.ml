@@ -184,13 +184,15 @@ let test_traced_serve_stats_invariant () =
 
 let test_reservoir_determinism () =
   let feed () =
+    let ms = Memsys.create (Config.default ()) in
     let log = Spans.create ~cap:3 ~workers:1 () in
     (* sojourns: 5 9 9 2 9 1 7 — cap 3 keeps the 9s, ties by id *)
     List.iteri
       (fun i sj ->
-         Spans.begin_exec log ~worker:0;
-         Spans.finish log ~id:i ~worker:0 ~arrival:0 ~dequeue:0 ~fin:sj)
+         Spans.begin_exec log ms ~worker:0;
+         Spans.finish log ms ~id:i ~worker:0 ~arrival:0 ~dequeue:0 ~fin:sj)
       [ 5; 9; 9; 2; 9; 1; 7 ];
+    Memsys.retire ms;
     log
   in
   let ids log = List.map (fun sp -> sp.Spans.sp_id) (Spans.slowest log) in

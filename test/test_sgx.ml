@@ -160,8 +160,128 @@ let test_blit_costs_both_sides () =
   Memsys.blit m ~src:a ~dst:(a + 4096) ~len:256;
   Alcotest.(check int) "4 src + 4 dst lines" 8 (Memsys.snapshot m).Memsys.mem_accesses
 
+(* ---------- per-thread bucket rows, under both engines ---------- *)
+
+module Fastpath = Sb_machine.Fastpath
+
+let each_engine f =
+  List.iter (fun k -> Fastpath.with_kind k f) [ Fastpath.Naive; Fastpath.Fast ]
+
+let engine = Fastpath.current_name
+
+let sum_rows m b =
+  let s = ref 0 in
+  for tid = 0 to (Memsys.cfg m).Config.max_threads - 1 do
+    s := !s + (Memsys.thread_cycles m tid).(b)
+  done;
+  !s
+
+let test_rows_sum_to_attribution () =
+  each_engine @@ fun () ->
+  let m = ms () in
+  let a = Vmem.map (Memsys.vmem m) ~len:(4 * 4096) ~perm:Vmem.Read_write () in
+  let worker t () =
+    let base = a + (t * 4096) in
+    for i = 0 to 511 do
+      Memsys.store m ~addr:(base + (i * 8)) ~width:8 i;
+      if i mod 5 = t then Memsys.touch ~cls:Memsys.Footer_meta m ~addr:base ~width:4;
+      if i mod 64 = 0 then Memsys.charge_alu ~cls:Memsys.Overlay m (t + 1);
+      Memsys.charge_alu m 2;
+      if i mod (31 + t) = 0 then Sb_mt.Mt.yield ()
+    done
+  in
+  Sb_mt.Mt.run m (Array.init 4 worker);
+  let buckets = Array.length Memsys.profile_buckets in
+  for t = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: thread %d charged its row" (engine ()) t)
+      true
+      (Array.exists (fun c -> c > 0) (Memsys.thread_cycles m t))
+  done;
+  List.iteri
+    (fun i (c, (cs : Memsys.class_stat)) ->
+       Alcotest.(check int)
+         (Printf.sprintf "%s: rows sum to %s cycles" (engine ()) (Memsys.class_name c))
+         cs.Memsys.cycles (sum_rows m i))
+    (Memsys.attribution m);
+  Alcotest.(check int) (engine () ^ ": rows sum to compute_cycles")
+    (Memsys.compute_cycles m) (sum_rows m (buckets - 1));
+  let total = ref 0 in
+  for b = 0 to buckets - 1 do
+    total := !total + sum_rows m b
+  done;
+  Alcotest.(check int) (engine () ^ ": rows sum to attributed_cycles")
+    (Memsys.attributed_cycles m) !total;
+  Memsys.retire m
+
+let test_reset_zeroes_rows () =
+  each_engine @@ fun () ->
+  let m = ms () in
+  let a = Vmem.map (Memsys.vmem m) ~len:4096 ~perm:Vmem.Read_write () in
+  Memsys.set_thread m 3;
+  Memsys.charge_alu m 10;
+  for _ = 1 to 8 do
+    Memsys.touch m ~addr:a ~width:8
+  done;
+  Memsys.reset m;
+  Alcotest.(check (array int)) (engine () ^ ": thread 3 row zeroed")
+    (Array.make (Array.length Memsys.profile_buckets) 0)
+    (Memsys.thread_cycles m 3);
+  Alcotest.(check int) (engine () ^ ": back on thread 0") 0 (Memsys.current_thread m);
+  Memsys.charge_alu m 5;
+  let row0 = Memsys.thread_cycles m 0 in
+  Alcotest.(check int) (engine () ^ ": next charge lands in row 0")
+    (5 * (Memsys.cfg m).Config.costs.Config.alu)
+    row0.(Array.length row0 - 1);
+  Alcotest.(check int) (engine () ^ ": thread 3 row still zero") 0
+    (Array.fold_left ( + ) 0 (Memsys.thread_cycles m 3));
+  Memsys.retire m
+
+let test_set_thread_range () =
+  let m = ms () in
+  let n = (Memsys.cfg m).Config.max_threads in
+  List.iter
+    (fun tid ->
+       match Memsys.set_thread m tid with
+       | () -> Alcotest.failf "set_thread %d accepted" tid
+       | exception Invalid_argument _ -> ())
+    [ -1; n ];
+  Memsys.set_thread m (n - 1);
+  Memsys.charge_alu m 1;
+  Alcotest.(check int) "last thread charges its own row" 1
+    (Array.fold_left ( + ) 0 (Memsys.thread_cycles m (n - 1)));
+  Memsys.retire m
+
+let test_thread_cycles_flushes_batch () =
+  let run () =
+    let m = ms () in
+    let a = Vmem.map (Memsys.vmem m) ~len:4096 ~perm:Vmem.Read_write () in
+    Memsys.set_thread m 2;
+    (* one miss, then a same-line streak the fast engine keeps pending *)
+    for _ = 1 to 20 do
+      Memsys.touch m ~addr:a ~width:8
+    done;
+    let row = Memsys.thread_cycles m 2 in
+    let clock = Memsys.get_clock m 2 in
+    Memsys.retire m;
+    (row, clock)
+  in
+  let (fast_row, fast_clock) = Fastpath.with_kind Fastpath.Fast run in
+  let (naive_row, naive_clock) = Fastpath.with_kind Fastpath.Naive run in
+  Alcotest.(check int) "data bucket holds the whole streak" fast_clock fast_row.(0);
+  Alcotest.(check int) "clocks agree" naive_clock fast_clock;
+  Alcotest.(check (array int)) "fast row = naive row" naive_row fast_row
+
 let extra_suite =
   [
+    Alcotest.test_case "per-thread rows sum to attribution across Mt switches" `Quick
+      test_rows_sum_to_attribution;
+    Alcotest.test_case "reset zeroes the rows and the row index" `Quick
+      test_reset_zeroes_rows;
+    Alcotest.test_case "thread_cycles includes a pending same-line batch" `Quick
+      test_thread_cycles_flushes_batch;
+    Alcotest.test_case "set_thread admits only ids below max_threads" `Quick
+      test_set_thread_range;
     Alcotest.test_case "touch_range counts lines" `Quick test_touch_range_counts_lines;
     Alcotest.test_case "blit costs both sides" `Quick test_blit_costs_both_sides;
   ]

@@ -51,6 +51,22 @@ let test_histogram () =
   Alcotest.(check (list (triple int int int))) "reset buckets" []
     (Metrics.Histogram.nonzero_buckets h)
 
+let test_histogram_observe_n () =
+  let state h =
+    ( (Metrics.Histogram.count h, Metrics.Histogram.sum h, Metrics.Histogram.max_value h),
+      Metrics.Histogram.nonzero_buckets h )
+  in
+  let bulk = Metrics.Histogram.create "bulk" and one = Metrics.Histogram.create "one" in
+  List.iter
+    (fun (v, n) ->
+       Metrics.Histogram.observe_n bulk v n;
+       for _ = 1 to n do
+         Metrics.Histogram.observe one v
+       done)
+    [ (4, 7); (0, 3); (150, 1); (-2, 2); (4, 0); (1 lsl 40, 5); (9, 12) ];
+  Alcotest.(check (pair (triple int int int) (list (triple int int int))))
+    "observe_n v n = n x observe v" (state one) (state bulk)
+
 let test_ring_bounded () =
   let r = Events.create ~capacity:4 in
   for i = 1 to 7 do
@@ -284,6 +300,8 @@ let suite =
   [
     Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "histogram" `Quick test_histogram;
+    Alcotest.test_case "histogram observe_n = repeated observe" `Quick
+      test_histogram_observe_n;
     Alcotest.test_case "event ring is bounded" `Quick test_ring_bounded;
     Alcotest.test_case "spans nest and time" `Quick test_spans;
     Alcotest.test_case "disabled hub records nothing" `Quick test_disabled_hub_records_nothing;
